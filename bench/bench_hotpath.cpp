@@ -2,12 +2,13 @@
 //
 // Times the primitives the fig13 acceleration campaign optimized — the
 // fading response, the ESNR kernel, the full CSI/selection stack, A-MPDU
-// assembly, packet allocation, and scheduler churn — each in isolation,
-// and leaves a BENCH_hotpath.json behind in the same report schema the
-// sweep benches use.  CI diffs it against bench/baselines/hotpath.json
-// with a hard `--budget-ms` ceiling, so a reverted optimization (or an
-// accidentally quadratic "improvement") fails the perf gate even though
-// every correctness test still passes.
+// assembly, packet allocation, and scheduler churn — plus the per-packet
+// AP/controller primitives (cyclic queue, uplink de-duplication, Minstrel
+// rate control), each in isolation, and leaves a BENCH_hotpath.json
+// behind in the same report schema the sweep benches use.  CI diffs it
+// against bench/baselines/hotpath.json with a hard `--budget-ms` ceiling,
+// so a reverted optimization (or an accidentally quadratic "improvement")
+// fails the perf gate even though every correctness test still passes.
 //
 // Timing protocol: each kernel runs a fixed-iteration batch `reps` times
 // and reports the MINIMUM batch wall time.  Best-of-N is deliberately the
@@ -30,11 +31,15 @@
 #include "channel/channel_model.h"
 #include "channel/fading.h"
 #include "channel/mobility.h"
+#include "core/cyclic_queue.h"
+#include "core/dedup.h"
 #include "mac/airtime.h"
 #include "mac/ampdu.h"
 #include "net/packet.h"
 #include "phy/esnr.h"
 #include "phy/mcs.h"
+#include "phy/rate_control.h"
+#include "sim/context.h"
 #include "sim/scheduler.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -171,9 +176,9 @@ Row bench_ampdu_build(int reps) {
 // (campaign item 3): the lifecycle every forwarded frame pays.
 Row bench_packet_churn(int reps) {
   net::PacketUidAllocator uids;
-  net::ScopedPacketUidAllocator uid_scope(&uids);
   net::PacketPool pool;
-  net::ScopedPacketPool pool_scope(&pool);
+  sim::ScopedContext scope(
+      sim::Context{.uid_allocator = &uids, .packet_pool = &pool});
   const std::size_t iters = 2000000;
   Row row = time_kernel("net/packet_churn", iters, reps, [&] {
     double acc = 0.0;
@@ -209,6 +214,65 @@ Row bench_scheduler_churn(int reps) {
       sched.run();
     }
     g_sink += static_cast<double>(fired);
+  });
+}
+
+// Per-client cyclic queue: insert at the next 12-bit index and pop it
+// straight back — the AP's per-packet enqueue/dequeue (paper §3.1.3).
+Row bench_cyclic_queue(int reps) {
+  core::CyclicQueue queue;
+  net::Packet p;
+  p.size_bytes = 1500;
+  const net::PacketPtr pkt = net::make_packet(std::move(p));
+  const std::size_t iters = 4000000;
+  std::uint32_t index = 0;
+  return time_kernel("core/cyclic_queue", iters, reps, [&] {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < iters; ++i) {
+      queue.insert(index++ & 0xFFF, pkt);
+      if (auto popped = queue.pop()) acc += popped->first & 1;
+    }
+    g_sink += acc;
+  });
+}
+
+// Uplink de-duplication on (src, IP-ID) at one packet per 10 us: the
+// controller's per-uplink-copy lookup (paper §3.2.2).  IP-IDs wrap inside
+// the 2 s window, so the stream mixes first sightings and duplicates.
+Row bench_dedup_lookup(int reps) {
+  core::Deduplicator dedup;
+  net::Packet p;
+  p.type = net::PacketType::kData;
+  p.src = net::kClientBase;
+  const std::size_t iters = 2000000;
+  std::uint16_t ip_id = 0;
+  Time now = Time::zero();
+  return time_kernel("core/dedup_lookup", iters, reps, [&] {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < iters; ++i) {
+      p.ip_id = ip_id++;
+      now += Time::us(10);
+      acc += dedup.is_duplicate(p, now) ? 1.0 : 0.0;
+    }
+    g_sink += acc;
+  });
+}
+
+// Minstrel rate control: one select + one A-MPDU outcome report per 2 ms,
+// the per-transmission cost every radio pays.
+Row bench_minstrel(int reps) {
+  phy::MinstrelRateControl rc;
+  Time now = Time::zero();
+  const std::size_t iters = 800000;
+  return time_kernel("phy/minstrel", iters, reps, [&] {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < iters; ++i) {
+      now += Time::ms(2);
+      const phy::McsInfo& mcs = rc.select(now);
+      rc.report(mcs, 32, 30, now);
+      acc += mcs.index;
+    }
+    g_sink += acc;
   });
 }
 
@@ -279,6 +343,9 @@ int run(int argc, char** argv) {
   rows.push_back(bench_ampdu_build(reps));
   rows.push_back(bench_packet_churn(reps));
   rows.push_back(bench_scheduler_churn(reps));
+  rows.push_back(bench_cyclic_queue(reps));
+  rows.push_back(bench_dedup_lookup(reps));
+  rows.push_back(bench_minstrel(reps));
   write_report(path, rows);
   std::printf("(sink %.3g)\n", g_sink);
   return 0;

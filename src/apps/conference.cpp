@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/context.h"
+
 namespace wgtt::apps {
 
 ConferenceApp::ConferenceApp(sim::Scheduler& sched,
                              transport::IpIdAllocator& ip_ids,
                              ConferenceConfig cfg)
     : sched_(sched), ip_ids_(ip_ids), cfg_(cfg) {
-  health_ = obs::HealthEngine::current();
+  health_ = sim::Context::current().health;
 }
 
 void ConferenceApp::start() {

@@ -1,12 +1,14 @@
 #include "apps/web_browse.h"
 
+#include "sim/context.h"
+
 namespace wgtt::apps {
 
 WebBrowseApp::WebBrowseApp(sim::Scheduler& sched,
                            transport::IpIdAllocator& ip_ids,
                            transport::TcpConfig tcp_cfg, WebBrowseConfig cfg)
     : sched_(sched), ip_ids_(ip_ids), cfg_(cfg) {
-  health_ = obs::HealthEngine::current();
+  health_ = sim::Context::current().health;
   object_bytes_ = cfg_.page_bytes / cfg_.num_objects;
   conns_.reserve(cfg_.parallel_connections);
   conn_outstanding_bytes_.assign(cfg_.parallel_connections, 0);

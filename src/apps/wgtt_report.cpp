@@ -291,10 +291,10 @@ int cmd_show(const std::string& path, bool json) {
     }
     if (shown < profile.sections.size()) {
       const std::int64_t rest_ns = profile.total_ns - shown_ns;
-      std::printf("%-28s %12.1f %6.1f%%\n",
-                  ("+" + std::to_string(profile.sections.size() - shown) +
-                   " more")
-                      .c_str(),
+      std::string more = "+";
+      more += std::to_string(profile.sections.size() - shown);
+      more += " more";
+      std::printf("%-28s %12.1f %6.1f%%\n", more.c_str(),
                   static_cast<double>(rest_ns) / 1e6,
                   profile.total_ns > 0
                       ? 100.0 * static_cast<double>(rest_ns) /

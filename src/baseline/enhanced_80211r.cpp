@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "net/flight_recorder.h"
+#include "sim/context.h"
 #include "util/logging.h"
 
 namespace wgtt::baseline {
@@ -14,7 +15,7 @@ namespace wgtt::baseline {
 Distribution::Distribution(sim::Scheduler& sched, net::Backhaul& backhaul,
                            Time relearn_delay)
     : sched_(sched), backhaul_(backhaul), relearn_delay_(relearn_delay) {
-  health_ = obs::HealthEngine::current();
+  health_ = sim::Context::current().health;
   backhaul_.attach(net::kControllerId, [this](const net::TunneledPacket& f) {
     on_backhaul_frame(f);
   });
@@ -87,7 +88,7 @@ void Distribution::on_backhaul_frame(const net::TunneledPacket& frame) {
 BaselineAp::BaselineAp(sim::Scheduler& sched, net::Backhaul& backhaul,
                        mac::WifiDevice& device, BaselineApConfig cfg)
     : sched_(sched), backhaul_(backhaul), device_(device), cfg_(cfg) {
-  health_ = obs::HealthEngine::current();
+  health_ = sim::Context::current().health;
   backhaul_.attach(cfg_.id, [this](const net::TunneledPacket& frame) {
     on_backhaul_frame(frame);
   });

@@ -8,6 +8,7 @@
 #include <span>
 
 #include "phy/esnr.h"
+#include "sim/context.h"
 #include "util/units.h"
 #include "util/vec_math.h"
 
@@ -21,7 +22,7 @@ ChannelModel::ChannelModel(RadioConfig radio, PathLossConfig pathloss,
       shadowing_cfg_(shadowing),
       fading_cfg_(fading),
       rng_(rng) {
-  if (auto* p = prof::Profiler::current()) {
+  if (auto* p = sim::Context::current().profiler) {
     prof_ = p;
     p_csi_ = &p->section("channel.csi");
   }

@@ -1,19 +1,22 @@
 #include "core/ap_queue_stack.h"
 
+#include "sim/context.h"
+
 namespace wgtt::core {
 
 ApQueueStack::ApQueueStack(sim::Scheduler& sched, mac::WifiDevice& device,
                            net::NodeId client, QueueStackConfig cfg)
     : sched_(sched), device_(device), client_(client), cfg_(cfg) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const sim::Context& ctx = sim::Context::current();
+  if (auto* reg = ctx.metrics) {
     m_backlog_ = &reg->histogram(
         "core.queue_stack_backlog", metrics::exponential_buckets(1.0, 2.0, 13));
     m_activations_ = &reg->counter("core.queue_stack_activations");
   }
-  tracer_ = trace::Tracer::current();
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
+  tracer_ = ctx.tracer;
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
   device_.set_refill_handler(client_, [this]() { pump(); });
 }
 

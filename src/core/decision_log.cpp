@@ -33,8 +33,6 @@ const char* to_string(DecisionReason r) {
 
 namespace {
 
-thread_local DecisionLog* t_current_decision_log = nullptr;
-
 // Fixed-point milli-units via integer arithmetic: byte-identical rendering of
 // doubles across platforms (printf %g is not).
 std::string format_milli(double v) {
@@ -112,19 +110,6 @@ void DecisionLog::append_liveness(const LivenessRecord& rec) {
   s += trace::Tracer::format_ts(rec.quarantine);
   s += "}\n";
   ++liveness_entries_;
-}
-
-DecisionLog* DecisionLog::current() { return t_current_decision_log; }
-
-ScopedDecisionLog::ScopedDecisionLog(DecisionLog* log) {
-  if (log == nullptr) return;
-  installed_ = log;
-  previous_ = t_current_decision_log;
-  t_current_decision_log = log;
-}
-
-ScopedDecisionLog::~ScopedDecisionLog() {
-  if (installed_ != nullptr) t_current_decision_log = previous_;
 }
 
 }  // namespace wgtt::core

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "phy/esnr.h"
+#include "sim/context.h"
 #include "util/logging.h"
 
 namespace wgtt::core {
@@ -15,9 +16,10 @@ WgttAp::WgttAp(sim::Scheduler& sched, net::Backhaul& backhaul,
       device_(device),
       cfg_(std::move(cfg)),
       rng_(0xA9000ull + cfg_.id) {
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
+  const sim::Context& ctx = sim::Context::current();
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
   backhaul_.attach(cfg_.id, [this](const net::TunneledPacket& frame) {
     on_backhaul_frame(frame);
   });
@@ -36,11 +38,11 @@ WgttAp::WgttAp(sim::Scheduler& sched, net::Backhaul& backhaul,
   };
   // Fault wiring: only when this sim injects faults does the AP register a
   // crash callback and start heartbeating (fault-free runs schedule nothing).
-  injector_ = net::FaultInjector::current();
+  injector_ = ctx.fault_injector;
   if (injector_ != nullptr) {
     injector_->on_ap_fault(cfg_.id, [this](bool down) { on_fault(down); });
     sched_.schedule(cfg_.heartbeat_period, [this]() { heartbeat_tick(); });
-    if (auto* reg = metrics::MetricsRegistry::current()) {
+    if (auto* reg = ctx.metrics) {
       m_dup_suppressed_ = &reg->counter("controller.protocol.dup_suppressed");
       m_stale_rejected_ = &reg->counter("controller.protocol.stale_rejected");
     }

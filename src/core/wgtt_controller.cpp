@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "phy/esnr.h"
+#include "sim/context.h"
 #include "util/logging.h"
 
 namespace wgtt::core {
@@ -15,18 +16,19 @@ WgttController::WgttController(sim::Scheduler& sched, net::Backhaul& backhaul,
       backhaul_(backhaul),
       ap_ids_(std::move(ap_ids)),
       cfg_(cfg) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const sim::Context& ctx = sim::Context::current();
+  if (auto* reg = ctx.metrics) {
     m_switches_ = &reg->counter("core.switches_completed");
     m_dedup_hits_ = &reg->counter("core.dedup_hits");
     m_switch_latency_ms_ = &reg->histogram(
         "core.switch_latency_ms", metrics::exponential_buckets(0.5, 2.0, 10));
   }
-  tracer_ = trace::Tracer::current();
-  decision_log_ = DecisionLog::current();
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
-  if (auto* p = prof::Profiler::current()) {
+  tracer_ = ctx.tracer;
+  decision_log_ = ctx.decision_log;
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
+  if (auto* p = ctx.profiler) {
     prof_ = p;
     p_selection_ = &p->section("core.selection");
     p_csi_ = &p->section("core.csi_report");
@@ -39,14 +41,14 @@ WgttController::WgttController(sim::Scheduler& sched, net::Backhaul& backhaul,
 
   // Liveness monitor: armed only when the sim injects faults, so fault-free
   // runs schedule no extra events and create no extra metrics.
-  injector_ = net::FaultInjector::current();
+  injector_ = ctx.fault_injector;
   if (injector_ != nullptr) {
     for (net::NodeId ap : ap_ids_) {
       ApHealth h;
       h.last_heartbeat = sched_.now();
       ap_health_.emplace(ap, h);
     }
-    if (auto* reg = metrics::MetricsRegistry::current()) {
+    if (auto* reg = ctx.metrics) {
       m_suspects_ = &reg->counter("controller.liveness.suspects");
       m_failovers_ = &reg->counter("controller.liveness.failovers");
       m_quarantines_ = &reg->counter("controller.liveness.quarantines");

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "phy/esnr.h"
+#include "sim/context.h"
 #include "util/logging.h"
 #include "util/units.h"
 
@@ -58,7 +59,8 @@ WifiDevice::WifiDevice(MacContext& ctx, net::NodeId self, WifiDeviceConfig cfg)
       return std::make_unique<phy::MinstrelRateControl>();
     };
   }
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const sim::Context& services = sim::Context::current();
+  if (auto* reg = services.metrics) {
     m_airtime_ns_ =
         &reg->counter("mac.airtime_ns.node" + std::to_string(self_));
     m_airtime_total_ns_ = &reg->counter("mac.airtime_ns_total");
@@ -70,11 +72,11 @@ WifiDevice::WifiDevice(MacContext& ctx, net::NodeId self, WifiDeviceConfig cfg)
     m_esnr_db_ = &reg->histogram("phy.esnr_db",
                                  metrics::linear_buckets(-10.0, 5.0, 13));
   }
-  tracer_ = trace::Tracer::current();
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
-  if (auto* p = prof::Profiler::current()) {
+  tracer_ = services.tracer;
+  recorder_ = services.flight_recorder;
+  causal_ = services.causal;
+  health_ = services.health;
+  if (auto* p = services.profiler) {
     prof_ = p;
     p_exchange_ = &p->section("mac.exchange");
   }

@@ -291,7 +291,7 @@ class WifiDevice {
   bool mgmt_in_flight_ = false;
   Time last_uplink_tx_ = Time::zero();
   DeviceStats stats_;
-  // Instrumentation, cached from the context-current registry/tracer at
+  // Instrumentation, cached from the simulation context's services at
   // construction; null when off.
   metrics::Counter* m_airtime_ns_ = nullptr;        // this radio
   metrics::Counter* m_airtime_total_ns_ = nullptr;  // all radios of the sim

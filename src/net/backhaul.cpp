@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/context.h"
+
 namespace wgtt::net {
 
 namespace {
@@ -30,15 +32,16 @@ bool causal_annotated(const TunneledPacket& f, const obs::CausalTracer& c) {
 
 Backhaul::Backhaul(sim::Scheduler& sched, BackhaulConfig cfg, Rng rng)
     : sched_(sched), cfg_(cfg), rng_(rng) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const sim::Context& ctx = sim::Context::current();
+  if (auto* reg = ctx.metrics) {
     m_latency_us_ = &reg->histogram(
         "net.backhaul_latency_us", metrics::exponential_buckets(25.0, 2.0, 10));
     m_bytes_ = &reg->counter("net.backhaul_bytes");
   }
-  recorder_ = FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
-  injector_ = FaultInjector::current();
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
+  injector_ = ctx.fault_injector;
 }
 
 void Backhaul::attach(NodeId node, DeliverFn on_receive) {

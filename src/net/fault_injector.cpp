@@ -2,22 +2,19 @@
 
 #include <string>
 
+#include "sim/context.h"
 #include "util/health.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
 namespace wgtt::net {
-namespace {
-
-thread_local FaultInjector* t_current_fault_injector = nullptr;
-
-}  // namespace
 
 FaultInjector::FaultInjector(sim::Scheduler& sched, sim::FaultPlan plan,
                              Rng rng)
     : sched_(sched), plan_(std::move(plan)), rng_(rng) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const sim::Context& ctx = sim::Context::current();
+  if (auto* reg = ctx.metrics) {
     m_injected_ = &reg->counter("fault.injected");
     m_cleared_ = &reg->counter("fault.cleared");
     m_active_ = &reg->gauge("fault.active");
@@ -27,9 +24,9 @@ FaultInjector::FaultInjector(sim::Scheduler& sched, sim::FaultPlan plan,
           std::string("fault.") + to_string(static_cast<sim::FaultKind>(k)));
     }
   }
-  tracer_ = trace::Tracer::current();
-  recorder_ = FlightRecorder::current();
-  health_ = obs::HealthEngine::current();
+  tracer_ = ctx.tracer;
+  recorder_ = ctx.flight_recorder;
+  health_ = ctx.health;
   for (const sim::FaultEvent& ev : plan_.events) {
     sched_.schedule_at(ev.at, [this, &ev] { apply(ev, true); });
     if (ev.duration > Time::zero()) {
@@ -37,8 +34,6 @@ FaultInjector::FaultInjector(sim::Scheduler& sched, sim::FaultPlan plan,
     }
   }
 }
-
-FaultInjector* FaultInjector::current() { return t_current_fault_injector; }
 
 std::pair<NodeId, NodeId> FaultInjector::link_key(NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
@@ -164,17 +159,6 @@ void FaultInjector::observe(const sim::FaultEvent& ev, bool onset) {
   if (health_) {
     health_->fault_mark(now, to_string(ev.kind), ev.node, onset);
   }
-}
-
-ScopedFaultInjector::ScopedFaultInjector(FaultInjector* inj) {
-  if (inj == nullptr) return;
-  installed_ = inj;
-  previous_ = t_current_fault_injector;
-  t_current_fault_injector = inj;
-}
-
-ScopedFaultInjector::~ScopedFaultInjector() {
-  if (installed_ != nullptr) t_current_fault_injector = previous_;
 }
 
 }  // namespace wgtt::net

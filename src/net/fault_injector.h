@@ -6,11 +6,11 @@
 // ap_down()/csi_mode() and subscribes to crash transitions, the controller
 // checks for an installed injector to arm its liveness machinery.
 //
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer /
-// FlightRecorder: the Testbed owns at most one injector, installs it as the
-// constructing thread's context-current injector, and every component caches
-// `current()` once at construction.  With no FaultPlan configured no
-// injector exists, `current()` is null everywhere, and not one scheduler
+// The Testbed owns at most one injector and installs it in its sim::Context
+// (the one service installed late, since it needs the scheduler); every
+// component caches the context's injector once at construction.  With no
+// FaultPlan configured no injector exists, the context's injector is null
+// everywhere, and not one scheduler
 // event, RNG draw, metric instrument, or trace byte differs from a build
 // without this subsystem.
 //
@@ -72,10 +72,6 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// The injector the calling thread's current simulation consults, or
-  /// nullptr when fault injection is off (the default).
-  static FaultInjector* current();
-
   bool ap_down(NodeId ap) const;
   /// ctrl_crash windows open on the controller (kControllerId books).
   bool ctrl_down() const { return ap_down(kControllerId); }
@@ -134,20 +130,6 @@ class FaultInjector {
   metrics::Counter* m_cleared_ = nullptr;
   metrics::Gauge* m_active_ = nullptr;
   std::vector<metrics::Counter*> m_by_kind_;  // indexed by FaultKind
-};
-
-/// Install `inj` as the calling thread's current fault injector for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedFaultInjector {
- public:
-  explicit ScopedFaultInjector(FaultInjector* inj);
-  ~ScopedFaultInjector();
-  ScopedFaultInjector(const ScopedFaultInjector&) = delete;
-  ScopedFaultInjector& operator=(const ScopedFaultInjector&) = delete;
-
- private:
-  FaultInjector* installed_ = nullptr;
-  FaultInjector* previous_ = nullptr;
 };
 
 }  // namespace wgtt::net

@@ -1,5 +1,6 @@
 #include "net/flight_recorder.h"
 
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace wgtt::net {
@@ -49,20 +50,6 @@ const char* to_string(DropCause c) {
   return "?";
 }
 
-namespace {
-
-thread_local FlightRecorder* t_current_flight_recorder = nullptr;
-
-// splitmix64 finalizer: cheap, well-mixed uid hash for the sampler.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(FlightRecorderConfig cfg) : cfg_(cfg) {
   out_.reserve(1 << 16);
   // Schema header line.  Not a lifecycle record (records_ stays 0): it
@@ -75,8 +62,7 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig cfg) : cfg_(cfg) {
 }
 
 bool FlightRecorder::sampled(std::uint64_t uid) const {
-  if (uid == 0 || cfg_.sample <= 1) return true;
-  return mix64(uid ^ cfg_.seed) % cfg_.sample == 0;
+  return uid_sampled(uid, cfg_.seed, cfg_.sample);
 }
 
 void FlightRecorder::record(std::uint64_t uid, Time t, Hop hop, NodeId node,
@@ -123,19 +109,6 @@ void FlightRecorder::append(std::uint64_t uid, Time t, Hop hop, NodeId node,
 void FlightRecorder::marker(Time t, Hop hop, NodeId node,
                             std::initializer_list<FlightArg> args) {
   append(0, t, hop, node, args, nullptr);
-}
-
-FlightRecorder* FlightRecorder::current() { return t_current_flight_recorder; }
-
-ScopedFlightRecorder::ScopedFlightRecorder(FlightRecorder* rec) {
-  if (rec == nullptr) return;
-  installed_ = rec;
-  previous_ = t_current_flight_recorder;
-  t_current_flight_recorder = rec;
-}
-
-ScopedFlightRecorder::~ScopedFlightRecorder() {
-  if (installed_ != nullptr) t_current_flight_recorder = previous_;
 }
 
 }  // namespace wgtt::net

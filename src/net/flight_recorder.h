@@ -15,11 +15,10 @@
 // pure-integer timestamp formatting (the tracer's), so a fixed-seed run
 // emits byte-identical output on any platform, any thread count.
 //
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer /
-// DecisionLog: a FlightRecorder is owned by one Testbed, installed as the
-// constructing thread's context-current recorder, and components cache
-// `current()` once at construction — a null pointer (recording off, the
-// default) makes every hop site a single branch with zero allocations.
+// A FlightRecorder is owned by one Testbed and installed in its
+// sim::Context like the other per-run services; components cache the
+// context's recorder once at construction — a null pointer (recording off,
+// the default) makes every hop site a single branch with zero allocations.
 //
 // Sampling: a seeded uid-hash selects 1-in-N data packets, so long sweeps
 // can afford full-lifecycle records without drowning in output.  Marker
@@ -117,8 +116,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Seeded uid-hash sampler: deterministic for a fixed (seed, sample),
-  /// independent of arrival order.  uid 0 (markers) is always sampled.
+  /// uid_sampled() at this recorder's (seed, sample); uid 0 (markers) is
+  /// always sampled.
   bool sampled(std::uint64_t uid) const;
 
   /// Append one lifecycle record for `uid` (no-op unless sampled).  For
@@ -142,10 +141,6 @@ class FlightRecorder {
   const std::string& jsonl() const { return out_; }
   const FlightRecorderConfig& config() const { return cfg_; }
 
-  /// The recorder the calling thread's current simulation records into, or
-  /// nullptr when packet recording is off (the default).
-  static FlightRecorder* current();
-
  private:
   void append(std::uint64_t uid, Time t, Hop hop, NodeId node,
               std::initializer_list<FlightArg> args, const char* cause);
@@ -153,20 +148,6 @@ class FlightRecorder {
   FlightRecorderConfig cfg_;
   std::string out_;
   std::size_t records_ = 0;
-};
-
-/// Install `rec` as the calling thread's current flight recorder for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedFlightRecorder {
- public:
-  explicit ScopedFlightRecorder(FlightRecorder* rec);
-  ~ScopedFlightRecorder();
-  ScopedFlightRecorder(const ScopedFlightRecorder&) = delete;
-  ScopedFlightRecorder& operator=(const ScopedFlightRecorder&) = delete;
-
- private:
-  FlightRecorder* installed_ = nullptr;
-  FlightRecorder* previous_ = nullptr;
 };
 
 }  // namespace wgtt::net

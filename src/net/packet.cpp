@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/context.h"
+
 namespace wgtt::net {
 
 const char* to_string(PacketType t) {
@@ -23,28 +25,6 @@ const char* to_string(PacketType t) {
     case PacketType::kResync: return "RESYNC";
   }
   return "?";
-}
-
-namespace {
-
-thread_local PacketUidAllocator* t_current_uid_allocator = nullptr;
-thread_local PacketPool* t_current_packet_pool = nullptr;
-
-}  // namespace
-
-PacketUidAllocator* PacketUidAllocator::current() {
-  return t_current_uid_allocator;
-}
-
-ScopedPacketUidAllocator::ScopedPacketUidAllocator(PacketUidAllocator* alloc) {
-  if (alloc == nullptr) return;
-  installed_ = alloc;
-  previous_ = t_current_uid_allocator;
-  t_current_uid_allocator = alloc;
-}
-
-ScopedPacketUidAllocator::~ScopedPacketUidAllocator() {
-  if (installed_ != nullptr) t_current_uid_allocator = previous_;
 }
 
 /// Shared freelist state.  Kept alive by a shared_ptr copy inside every
@@ -122,8 +102,6 @@ PacketPool::PacketPool() : state_(std::make_shared<State>()) {}
 
 PacketPool::~PacketPool() = default;
 
-PacketPool* PacketPool::current() { return t_current_packet_pool; }
-
 PacketPtr PacketPool::make(Packet&& fields) {
   return std::allocate_shared<const Packet>(PoolAllocator<const Packet>(state_),
                                             std::move(fields));
@@ -144,19 +122,9 @@ std::size_t PacketPool::free_nodes() const { return state_->free.size(); }
 
 std::size_t PacketPool::node_size() const { return state_->node_size; }
 
-ScopedPacketPool::ScopedPacketPool(PacketPool* pool) {
-  if (pool == nullptr) return;
-  installed_ = pool;
-  previous_ = t_current_packet_pool;
-  t_current_packet_pool = pool;
-}
-
-ScopedPacketPool::~ScopedPacketPool() {
-  if (installed_ != nullptr) t_current_packet_pool = previous_;
-}
-
 PacketPtr make_packet(Packet fields) {
-  if (PacketUidAllocator* alloc = PacketUidAllocator::current()) {
+  const sim::Context& ctx = sim::Context::current();
+  if (PacketUidAllocator* alloc = ctx.uid_allocator) {
     fields.uid = alloc->next();
   } else {
     // No simulation context (bare unit tests): fall back to a process-global
@@ -164,7 +132,7 @@ PacketPtr make_packet(Packet fields) {
     static std::atomic<std::uint64_t> next_uid{1};
     fields.uid = next_uid.fetch_add(1, std::memory_order_relaxed);
   }
-  if (PacketPool* pool = PacketPool::current()) {
+  if (PacketPool* pool = ctx.packet_pool) {
     return pool->make(std::move(fields));
   }
   return std::make_shared<const Packet>(fields);

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/context.h"
 #include "util/time.h"
 
 namespace wgtt::net {
@@ -90,45 +91,37 @@ const T* payload_as(const Packet& p) {
   return std::any_cast<T>(&p.payload);
 }
 
-/// Create a packet with a fresh unique id (from the calling thread's
-/// PacketUidAllocator when one is installed, else a process-global counter).
+/// Create a packet with a fresh unique id (from the simulation context's
+/// PacketUidAllocator when it has one, else a process-global counter),
+/// allocated from the context's PacketPool when it has one.
 PacketPtr make_packet(Packet fields);
 
-/// Per-simulation uid source.  Each Testbed owns one, installed thread-
-/// scoped like the other sim contexts, so uids are deterministic per run —
-/// a process-global counter would interleave uids across the parallel
-/// sweep workers and break byte-reproducible flight-recorder output.
+/// Per-simulation uid source.  Each Testbed owns one, installed in its
+/// sim::Context, so uids are deterministic per run — a process-global
+/// counter would interleave uids across the parallel sweep workers and
+/// break byte-reproducible flight-recorder output.
 class PacketUidAllocator {
  public:
   std::uint64_t next() { return next_uid_++; }
-  static PacketUidAllocator* current();
 
  private:
   std::uint64_t next_uid_ = 1;
 };
 
-/// Install `alloc` as the calling thread's uid allocator for this object's
-/// lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedPacketUidAllocator {
- public:
-  explicit ScopedPacketUidAllocator(PacketUidAllocator* alloc);
-  ~ScopedPacketUidAllocator();
-  ScopedPacketUidAllocator(const ScopedPacketUidAllocator&) = delete;
-  ScopedPacketUidAllocator& operator=(const ScopedPacketUidAllocator&) = delete;
-
- private:
-  PacketUidAllocator* installed_ = nullptr;
-  PacketUidAllocator* previous_ = nullptr;
+/// Shorthand for a ScopedContext that installs only a uid allocator.
+struct ScopedPacketUidAllocator : sim::ScopedContext {
+  explicit ScopedPacketUidAllocator(PacketUidAllocator* alloc)
+      : ScopedContext(sim::Context{.uid_allocator = alloc}) {}
 };
 
 /// Per-simulation freelist for the shared_ptr control-block + Packet nodes
 /// that make_packet() allocates.  A busy run creates and retires millions
 /// of identically-sized packet nodes; recycling them through a freelist
 /// removes most of that malloc/free traffic from the hot path.  Owned by
-/// Testbed and installed thread-scoped (like PacketUidAllocator), so each
-/// parallel sweep worker recycles only its own simulation's nodes; without
-/// an installed pool make_packet() falls back to plain make_shared.  The
-/// pool affects only where nodes live in memory — uids, contents, and
+/// Testbed and installed in its sim::Context (like PacketUidAllocator), so
+/// each parallel sweep worker recycles only its own simulation's nodes;
+/// without a pool in the context make_packet() falls back to make_shared.
+/// The pool affects only where nodes live in memory — uids, contents, and
 /// destruction order are untouched, so outputs stay byte-identical.
 class PacketPool {
  public:
@@ -136,8 +129,6 @@ class PacketPool {
   ~PacketPool();
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
-
-  static PacketPool* current();
 
   /// Allocate a packet node, reusing a retired one when available.
   PacketPtr make(Packet&& fields);
@@ -162,18 +153,10 @@ class PacketPool {
   std::shared_ptr<State> state_;
 };
 
-/// RAII thread-scoped installation of a PacketPool (nests, like the uid
-/// allocator scope above).
-class ScopedPacketPool {
- public:
-  explicit ScopedPacketPool(PacketPool* pool);
-  ~ScopedPacketPool();
-  ScopedPacketPool(const ScopedPacketPool&) = delete;
-  ScopedPacketPool& operator=(const ScopedPacketPool&) = delete;
-
- private:
-  PacketPool* installed_ = nullptr;
-  PacketPool* previous_ = nullptr;
+/// Shorthand for a ScopedContext that installs only a packet pool.
+struct ScopedPacketPool : sim::ScopedContext {
+  explicit ScopedPacketPool(PacketPool* pool)
+      : ScopedContext(sim::Context{.packet_pool = pool}) {}
 };
 
 /// 48-bit uplink de-duplication key: source address (32) ++ IP-ID (16),

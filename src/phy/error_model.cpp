@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/context.h"
+
 namespace wgtt::phy {
 
 ErrorModel::ErrorModel(ErrorModelConfig cfg) : cfg_(cfg) {
-  if (auto* p = prof::Profiler::current()) {
+  if (auto* p = sim::Context::current().profiler) {
     prof_ = p;
     p_mcs_ = &p->section("phy.mcs_select");
   }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "sim/context.h"
+
 namespace wgtt::phy {
 
 MinstrelRateControl::MinstrelRateControl(MinstrelConfig cfg) : cfg_(cfg) {
-  if (auto* p = prof::Profiler::current()) {
+  if (auto* p = sim::Context::current().profiler) {
     prof_ = p;
     p_select_ = &p->section("phy.rate_select");
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sim/context.h"
 #include "util/trace.h"
 
 namespace wgtt::scenario {
@@ -55,7 +56,7 @@ std::string TelemetryTable::to_csv() const {
 
 TelemetrySampler::TelemetrySampler(sim::Scheduler& sched, Time period)
     : sched_(sched), period_(period) {
-  if (auto* p = prof::Profiler::current()) {
+  if (auto* p = sim::Context::current().profiler) {
     prof_ = p;
     p_sample_ = &p->section("scenario.telemetry");
   }

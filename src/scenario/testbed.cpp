@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/context.h"
 #include "util/json.h"
 #include "util/units.h"
 
@@ -13,32 +14,23 @@ namespace wgtt::scenario {
 // ---------------------------------------------------------------------------
 
 Testbed::Testbed(TestbedConfig cfg)
-    : log_sink_(cfg.log_sink),
-      log_scope_(log_sink_.get()),
-      cfg_(std::move(cfg)),
+    : cfg_(std::move(cfg)),
       metrics_(cfg_.enable_metrics
                    ? std::make_unique<metrics::MetricsRegistry>()
                    : nullptr),
-      metrics_scope_(metrics_.get()),
       tracer_(cfg_.trace_path.empty() ? nullptr
                                       : std::make_unique<trace::Tracer>()),
-      trace_scope_(tracer_.get()),
       profiler_(cfg_.enable_profiler ? std::make_unique<prof::Profiler>()
                                      : nullptr),
-      profiler_scope_(profiler_.get()),
       decision_log_((cfg_.enable_decision_log || !cfg_.decision_log_path.empty())
                         ? std::make_unique<core::DecisionLog>(
                               /*protocol_extensions=*/!cfg_.faults.empty())
                         : nullptr),
-      decision_scope_(decision_log_.get()),
-      uid_scope_(&uid_alloc_),
-      packet_pool_scope_(&packet_pool_),
       flight_recorder_(
           (cfg_.enable_packet_log || !cfg_.packet_log_path.empty())
               ? std::make_unique<net::FlightRecorder>(
                     net::FlightRecorderConfig{cfg_.seed, cfg_.packet_sample})
               : nullptr),
-      flight_scope_(flight_recorder_.get()),
       health_engine_((cfg_.enable_health || !cfg_.health_path.empty())
                          ? std::make_unique<obs::HealthEngine>(
                                obs::HealthConfig{cfg_.health_window,
@@ -46,27 +38,40 @@ Testbed::Testbed(TestbedConfig cfg)
                                                  cfg_.health_max_in_flight,
                                                  cfg_.health_sample_rss,
                                                  /*fault_aware=*/
-                                                 !cfg_.faults.empty()})
+                                                 !cfg_.faults.empty()},
+                               metrics_.get())
                          : nullptr),
-      health_scope_(health_engine_.get()),
       causal_tracer_((cfg_.enable_causal || !cfg_.causal_path.empty())
                          ? std::make_unique<obs::CausalTracer>(
                                obs::CausalTracerConfig{cfg_.seed,
                                                        cfg_.causal_sample})
                          : nullptr),
-      causal_scope_(causal_tracer_.get()),
+      context_(sim::Context{.log_sink = cfg_.log_sink.get(),
+                            .metrics = metrics_.get(),
+                            .tracer = tracer_.get(),
+                            .profiler = profiler_.get(),
+                            .decision_log = decision_log_.get(),
+                            .uid_allocator = &uid_alloc_,
+                            .packet_pool = &packet_pool_,
+                            .flight_recorder = flight_recorder_.get(),
+                            .health = health_engine_.get(),
+                            .causal = causal_tracer_.get()}),
       fault_injector_(cfg_.faults.empty()
                           ? nullptr
                           : std::make_unique<net::FaultInjector>(
                                 sched_, cfg_.faults,
                                 Rng(cfg_.seed).fork("faults"))),
-      fault_scope_(fault_injector_.get()),
       telemetry_((cfg_.enable_telemetry || !cfg_.telemetry_path.empty())
                      ? std::make_unique<TelemetrySampler>(sched_,
                                                           cfg_.telemetry_period)
                      : nullptr),
       rng_(cfg_.seed),
       error_model_(cfg_.error_model) {
+  // The injector schedules its plan at construction, so it needs sched_,
+  // which needs the context installed first: it is the one service that
+  // joins the context late.  Every component that honours faults is
+  // constructed below, after this line.
+  context_.set_fault_injector(fault_injector_.get());
   channel_ = std::make_unique<channel::ChannelModel>(
       cfg_.radio, cfg_.pathloss, cfg_.shadowing, cfg_.fading,
       rng_.fork("channel"));
@@ -148,6 +153,8 @@ Testbed::~Testbed() {
       write_text_file(cfg_.health_path, health_engine_->jsonl());
     }
   }
+  // fault_injector_ is destroyed before context_; withdraw it first.
+  context_.set_fault_injector(nullptr);
 }
 
 metrics::Snapshot Testbed::metrics_snapshot() const {
@@ -270,7 +277,7 @@ WgttNetwork::WgttNetwork(Testbed& bed, WgttNetworkConfig cfg)
         bed_.config().ap_y, bed_.config().ap_z});
   }
   if (core::policy_duplicates_downlink(cfg_.controller.policy)) {
-    if (auto* reg = metrics::MetricsRegistry::current()) {
+    if (auto* reg = sim::Context::current().metrics) {
       m_client_dedup_ = &reg->counter("client.dedup_hits");
     }
   }
@@ -407,13 +414,13 @@ net::NodeId WgttNetwork::add_client(
         if (m_client_dedup_) m_client_dedup_->add();
         // Resolved per delivery: the flight recorder is installed after the
         // testbed is built, so a construction-time capture would be null.
-        if (auto* recorder = net::FlightRecorder::current()) {
+        if (auto* recorder = sim::Context::current().flight_recorder) {
           recorder->drop(pkt->uid, bed_.sched().now(),
                          net::Hop::kDedupSuppress, id,
                          net::DropCause::kDuplicate,
                          {{"ip_id", pkt->ip_id}});
         }
-        if (auto* health = obs::HealthEngine::current()) {
+        if (auto* health = sim::Context::current().health) {
           if (net::flight_recorded(pkt->type)) health->packet_dropped();
         }
         return;
@@ -486,7 +493,7 @@ void WgttNetwork::client_uplink(net::NodeId client, net::PacketPtr pkt) {
   mac::WifiDevice& dev = bed_.client_device(client);
   const bool fr = net::flight_recorded(pkt->type);
   if (!dev.enqueue(dev.bssid(), std::move(pkt)) && fr) {
-    if (auto* health = obs::HealthEngine::current()) health->packet_dropped();
+    if (auto* health = sim::Context::current().health) health->packet_dropped();
   }
 }
 
@@ -594,7 +601,7 @@ void WgttNetwork::wire_web_browse(apps::WebBrowseApp& app,
             });
           } else if (net::flight_recorded(p->type)) {
             // Unparseable payload: the ledger instance terminates here.
-            if (auto* health = obs::HealthEngine::current()) {
+            if (auto* health = sim::Context::current().health) {
               health->packet_retired();
             }
           }
@@ -656,14 +663,14 @@ void BaselineNetwork::client_uplink(net::NodeId client, net::PacketPtr pkt) {
   const bool fr = net::flight_recorded(pkt->type);
   if (dev.bssid() == 0) {  // not associated yet
     if (fr) {
-      if (auto* health = obs::HealthEngine::current()) {
+      if (auto* health = sim::Context::current().health) {
         health->packet_dropped();
       }
     }
     return;
   }
   if (!dev.enqueue(dev.bssid(), std::move(pkt)) && fr) {
-    if (auto* health = obs::HealthEngine::current()) health->packet_dropped();
+    if (auto* health = sim::Context::current().health) health->packet_dropped();
   }
 }
 
@@ -771,7 +778,7 @@ void BaselineNetwork::wire_web_browse(apps::WebBrowseApp& app,
             });
           } else if (net::flight_recorded(p->type)) {
             // Unparseable payload: the ledger instance terminates here.
-            if (auto* health = obs::HealthEngine::current()) {
+            if (auto* health = sim::Context::current().health) {
               health->packet_retired();
             }
           }

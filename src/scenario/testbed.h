@@ -29,6 +29,7 @@
 #include "net/fault_injector.h"
 #include "net/flight_recorder.h"
 #include "scenario/telemetry.h"
+#include "sim/context.h"
 #include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 #include "transport/tcp_connection.h"
@@ -81,23 +82,22 @@ struct TestbedConfig {
   Time wan_latency = Time::ms(2);  // content cached at the local server (§5.4)
   Time client_keepalive = Time::ms(4);
   std::uint64_t seed = 1;
-  /// Per-sim log destination.  When set, the Testbed installs it as the
-  /// constructing thread's context-current sink for its whole lifetime, so
-  /// concurrent simulations on different threads log independently.  Null
-  /// inherits whatever sink is already current (ultimately the process-wide
-  /// default).
+  /// Per-sim log destination.  When set, the Testbed installs it in its
+  /// simulation context for its whole lifetime, so concurrent simulations
+  /// on different threads log independently.  Null inherits whatever sink
+  /// is already current (ultimately the process-wide default).
   std::shared_ptr<LogSink> log_sink{};
   /// Per-sim instrumentation.  When true the Testbed owns a MetricsRegistry
-  /// and installs it as the constructing thread's context-current registry
-  /// for its lifetime; components cache typed instrument pointers at
-  /// construction, so recording is a single branch per site and free when
-  /// off.  Instruments only observe — enabling them never changes behaviour.
+  /// and installs it in its simulation context for its lifetime;
+  /// components cache typed instrument pointers at construction, so
+  /// recording is a single branch per site and free when off.  Instruments
+  /// only observe — enabling them never changes behaviour.
   bool enable_metrics = true;
   /// When non-empty, the Testbed owns a Tracer and writes the Chrome
   /// trace-event JSON (chrome://tracing / Perfetto) here on destruction.
   std::string trace_path{};
   /// Host-time profiler: the Testbed owns a prof::Profiler and installs it
-  /// as the constructing thread's context-current profiler for its lifetime;
+  /// in its simulation context for its lifetime;
   /// instrumented hot paths (scheduler dispatch, channel CSI synthesis, MAC
   /// exchanges, PHY rate selection, controller passes) accumulate exclusive
   /// self-time that lands in the bench report's "profile" block.  Measures
@@ -124,8 +124,8 @@ struct TestbedConfig {
   std::uint32_t packet_sample = 1;
   /// Deterministic infrastructure fault schedule (chaos testing).  When
   /// non-empty the Testbed owns a net::FaultInjector driven by a dedicated
-  /// RNG stream forked from `seed`, and installs it as the constructing
-  /// thread's context-current injector; components then arm their
+  /// RNG stream forked from `seed`, and installs it in its simulation
+  /// context; components then arm their
   /// degradation paths (heartbeats, liveness monitoring, failover).  When
   /// empty — the default — no injector exists, nothing extra is scheduled,
   /// and runs are byte-identical to builds without this feature.
@@ -217,45 +217,25 @@ class Testbed {
   /// Periodic health-window close (read-only: touches no RNG stream, no
   /// tracer, no recorder — so enabling health never perturbs the run).
   void health_tick();
-  // Declared first so the sink outlives (and its scope encloses) everything
-  // the testbed constructs or destroys on this thread.
-  std::shared_ptr<LogSink> log_sink_;
-  ScopedLogSink log_scope_;
-  TestbedConfig cfg_;
-  // Metrics/trace contexts install right after cfg_ so every later member
-  // (the scheduler first of all) constructs with them current.
+  TestbedConfig cfg_;  // first: its log_sink outlives every member below
+  // This run's services; each is null when its TestbedConfig switch is off.
   std::unique_ptr<metrics::MetricsRegistry> metrics_;
-  metrics::ScopedMetricsRegistry metrics_scope_;
   std::unique_ptr<trace::Tracer> tracer_;
-  trace::ScopedTracer trace_scope_;
   std::unique_ptr<prof::Profiler> profiler_;
-  prof::ScopedProfiler profiler_scope_;
   std::unique_ptr<core::DecisionLog> decision_log_;
-  core::ScopedDecisionLog decision_scope_;
-  // Per-sim packet uids (always installed: parallel sweep workers sharing a
-  // process-global counter would make uids — and therefore flight-recorder
-  // output — depend on thread interleaving).
+  // Always on: per-run uids keep flight-recorder output independent of the
+  // sweep's thread interleaving, and the pool recycles packet nodes.
   net::PacketUidAllocator uid_alloc_;
-  net::ScopedPacketUidAllocator uid_scope_;
-  // Per-sim packet-node freelist (recycles make_packet allocations; affects
-  // only where nodes live in memory, never their contents or uids).
   net::PacketPool packet_pool_;
-  net::ScopedPacketPool packet_pool_scope_;
   std::unique_ptr<net::FlightRecorder> flight_recorder_;
-  net::ScopedFlightRecorder flight_scope_;
-  // Before sched_: every component constructed after the scheduler caches
-  // HealthEngine::current() for its ledger hooks.
   std::unique_ptr<obs::HealthEngine> health_engine_;
-  obs::ScopedHealthEngine health_scope_;
-  // Before sched_: the scheduler caches CausalTracer::current() — and binds
-  // itself into the tracer — at construction.
   std::unique_ptr<obs::CausalTracer> causal_tracer_;
-  obs::ScopedCausalTracer causal_scope_;
+  // Installs the services above before sched_, so every later member
+  // constructs and is destroyed with them current.  The fault injector
+  // joins it in the constructor body (see there).
+  sim::ScopedContext context_;
   sim::Scheduler sched_;
-  // After sched_ (schedules its fault events at construction), before every
-  // component that caches FaultInjector::current().
   std::unique_ptr<net::FaultInjector> fault_injector_;
-  net::ScopedFaultInjector fault_scope_;
   std::unique_ptr<TelemetrySampler> telemetry_;  // after sched_: holds a ref
   Rng rng_;
   phy::ErrorModel error_model_;
@@ -277,11 +257,12 @@ class FlowRouter {
  public:
   using Handler = std::function<void(const net::PacketPtr&)>;
   explicit FlowRouter(sim::Scheduler* sched = nullptr) : sched_(sched) {
-    if (auto* reg = metrics::MetricsRegistry::current()) {
+    const sim::Context& ctx = sim::Context::current();
+    if (auto* reg = ctx.metrics) {
       m_dropped_ = &reg->counter("net.flow_router_drops");
     }
-    recorder_ = net::FlightRecorder::current();
-    health_ = obs::HealthEngine::current();
+    recorder_ = ctx.flight_recorder;
+    health_ = ctx.health;
   }
   void register_flow(std::uint32_t flow_id, Handler h) {
     handlers_[flow_id] = std::move(h);

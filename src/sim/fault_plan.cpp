@@ -44,12 +44,6 @@ bool parse_kind(std::string_view v, FaultKind& out) {
   return false;
 }
 
-bool is_link_kind(FaultKind k) {
-  return k == FaultKind::kLinkDrop || k == FaultKind::kLinkLatency ||
-         k == FaultKind::kPartition || k == FaultKind::kMsgDup ||
-         k == FaultKind::kMsgReorder;
-}
-
 }  // namespace
 
 const char* to_string(FaultKind k) {

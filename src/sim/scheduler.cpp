@@ -3,22 +3,24 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/context.h"
 #include "util/causal.h"
 
 namespace wgtt::sim {
 
 Scheduler::Scheduler() {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const Context& ctx = Context::current();
+  if (auto* reg = ctx.metrics) {
     m_dispatched_ = &reg->counter("sim.events_dispatched");
     m_cancelled_ = &reg->counter("sim.events_cancelled");
     m_queue_depth_ = &reg->histogram(
         "sim.queue_depth", metrics::exponential_buckets(1.0, 2.0, 14));
   }
-  if (auto* p = prof::Profiler::current()) {
+  if (auto* p = ctx.profiler) {
     prof_ = p;
     p_dispatch_ = &p->section("sim.dispatch");
   }
-  if (auto* c = obs::CausalTracer::current()) {
+  if (auto* c = ctx.causal) {
     causal_ = c;
     // Annotation sites pull current_event()/now() through the tracer, so
     // they need no scheduler reference of their own.

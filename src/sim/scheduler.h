@@ -121,14 +121,14 @@ class Scheduler {
   // keeping memory proportional to the out-of-order window, not history.
   std::uint64_t popped_low_water_ = 0;
   std::vector<std::uint64_t> popped_ahead_;  // sorted, all > popped_low_water_
-  // Instrumentation, cached from the context-current registry at
+  // Instrumentation, cached from the simulation context's registry at
   // construction; null (every site a single branch) when metrics are off.
   metrics::Counter* m_dispatched_ = nullptr;
   metrics::Counter* m_cancelled_ = nullptr;
   metrics::Histogram* m_queue_depth_ = nullptr;
   prof::Profiler* prof_ = nullptr;
   prof::Section* p_dispatch_ = nullptr;
-  // Causal event-graph observer, cached from the context-current tracer at
+  // Causal event-graph observer, cached from the simulation context at
   // construction (null — a single branch per schedule — when tracing is
   // off, which the golden-trace suites pin as byte-identical).
   obs::CausalTracer* causal_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/context.h"
+
 namespace wgtt::transport {
 
 TcpConnection::TcpConnection(sim::Scheduler& sched, IpIdAllocator& ip_ids,
@@ -17,13 +19,14 @@ TcpConnection::TcpConnection(sim::Scheduler& sched, IpIdAllocator& ip_ids,
       ssthresh_(cfg.receive_window_bytes),
       rto_(cfg.initial_rto),
       goodput_(cfg.throughput_bin) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  const sim::Context& ctx = sim::Context::current();
+  if (auto* reg = ctx.metrics) {
     m_retransmissions_ = &reg->counter("transport.tcp_retransmissions");
     m_timeouts_ = &reg->counter("transport.tcp_timeouts");
   }
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
 }
 
 void TcpConnection::app_send(std::size_t bytes) {

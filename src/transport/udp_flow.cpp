@@ -1,5 +1,7 @@
 #include "transport/udp_flow.h"
 
+#include "sim/context.h"
+
 namespace wgtt::transport {
 
 UdpSender::UdpSender(sim::Scheduler& sched, IpIdAllocator& ip_ids,
@@ -8,9 +10,10 @@ UdpSender::UdpSender(sim::Scheduler& sched, IpIdAllocator& ip_ids,
   const double pps =
       cfg_.offered_load_bps / (static_cast<double>(cfg_.datagram_bytes) * 8.0);
   interval_ = Time::sec(1.0 / pps);
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
+  const sim::Context& ctx = sim::Context::current();
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
 }
 
 void UdpSender::start() {
@@ -51,9 +54,10 @@ void UdpSender::emit() {
 
 UdpReceiver::UdpReceiver(sim::Scheduler& sched, Time throughput_bin)
     : sched_(sched), series_(throughput_bin) {
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
+  const sim::Context& ctx = sim::Context::current();
+  recorder_ = ctx.flight_recorder;
+  causal_ = ctx.causal;
+  health_ = ctx.health;
 }
 
 void UdpReceiver::on_packet(const net::PacketPtr& pkt) {

@@ -1,24 +1,10 @@
 #include "util/causal.h"
 
 #include "sim/scheduler.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace wgtt::obs {
-
-namespace {
-
-thread_local CausalTracer* t_current_causal_tracer = nullptr;
-
-// splitmix64 finalizer — the flight recorder's sampler, bit for bit, so the
-// two streams sample the same uid population at the same (seed, sample).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 CausalTracer::CausalTracer(CausalTracerConfig cfg) : cfg_(cfg) {
   out_.reserve(1 << 20);
@@ -28,8 +14,7 @@ CausalTracer::CausalTracer(CausalTracerConfig cfg) : cfg_(cfg) {
 }
 
 bool CausalTracer::sampled(std::uint64_t uid) const {
-  if (uid == 0 || cfg_.sample <= 1) return true;
-  return mix64(uid ^ cfg_.seed) % cfg_.sample == 0;
+  return uid_sampled(uid, cfg_.seed, cfg_.sample);
 }
 
 std::uint64_t CausalTracer::current_event() const {
@@ -71,19 +56,6 @@ void CausalTracer::annotate(const char* site,
   }
   s += "}\n";
   ++records_;
-}
-
-CausalTracer* CausalTracer::current() { return t_current_causal_tracer; }
-
-ScopedCausalTracer::ScopedCausalTracer(CausalTracer* tracer) {
-  if (tracer == nullptr) return;
-  installed_ = tracer;
-  previous_ = t_current_causal_tracer;
-  t_current_causal_tracer = tracer;
-}
-
-ScopedCausalTracer::~ScopedCausalTracer() {
-  if (installed_ != nullptr) t_current_causal_tracer = previous_;
 }
 
 }  // namespace wgtt::obs

@@ -27,18 +27,17 @@
 // Annotation sites tag events with packet uid / client / AP / switch id so
 // the DAG is joinable against the decision log and the flight recorder.
 //
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer /
-// FlightRecorder / HealthEngine: owned by one Testbed, installed as the
-// constructing thread's context-current tracer; the Scheduler and each
-// annotation site cache `current()` once at construction.  A null pointer
+// Owned by one Testbed and installed in its sim::Context like the other
+// per-run services; the Scheduler and each annotation site cache the
+// context's tracer once at construction.  A null pointer
 // (tracing off, the default) costs one branch per schedule — and the
 // scheduler's current-event bookkeeping is two plain stores per dispatch —
 // so disabled runs stay byte-identical, pinned by the golden-trace suites.
 //
 // Uid-tagged annotations (per-packet sites) share the flight recorder's
-// seeded uid-hash sampler, so at the same (seed, sample) the two streams
-// cover the same packet population and join line for line.  Switch/control
-// annotations are never sampled away.
+// seeded uid-hash sampler (uid_sampled), so at the same (seed, sample) the
+// two streams cover the same packet population and join line for line.
+// Switch/control annotations are never sampled away.
 #pragma once
 
 #include <cstdint>
@@ -106,29 +105,11 @@ class CausalTracer {
   const std::string& jsonl() const { return out_; }
   const CausalTracerConfig& config() const { return cfg_; }
 
-  /// The tracer the calling thread's current simulation records into, or
-  /// nullptr when causal tracing is off (the default).
-  static CausalTracer* current();
-
  private:
   CausalTracerConfig cfg_;
   const sim::Scheduler* sched_ = nullptr;
   std::string out_;
   std::size_t records_ = 0;
-};
-
-/// Install `tracer` as the calling thread's current causal tracer for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedCausalTracer {
- public:
-  explicit ScopedCausalTracer(CausalTracer* tracer);
-  ~ScopedCausalTracer();
-  ScopedCausalTracer(const ScopedCausalTracer&) = delete;
-  ScopedCausalTracer& operator=(const ScopedCausalTracer&) = delete;
-
- private:
-  CausalTracer* installed_ = nullptr;
-  CausalTracer* previous_ = nullptr;
 };
 
 }  // namespace wgtt::obs

@@ -13,8 +13,6 @@ namespace wgtt::obs {
 
 namespace {
 
-thread_local HealthEngine* t_current_health = nullptr;
-
 /// Fixed-point rendering with exactly 3 decimals, computed with integer
 /// arithmetic (llround of the scaled value) — deterministic across
 /// platforms, unlike printf's shortest-round-trip formats.
@@ -55,8 +53,9 @@ std::int64_t read_rss_kb() {
 
 }  // namespace
 
-HealthEngine::HealthEngine(HealthConfig cfg)
-    : cfg_(cfg), metrics_(metrics::MetricsRegistry::current()) {
+HealthEngine::HealthEngine(HealthConfig cfg,
+                           metrics::MetricsRegistry* metrics)
+    : cfg_(cfg), metrics_(metrics) {
   if (cfg_.ring_capacity == 0) cfg_.ring_capacity = 1;
   out_.reserve(1 << 14);
   out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.health\",\"version\":";
@@ -100,8 +99,6 @@ void HealthEngine::fault_mark(Time t, const char* kind, std::uint32_t node,
   out_ += "}\n";
   if (!active) last_fault_clear_ = t;
 }
-
-HealthEngine* HealthEngine::current() { return t_current_health; }
 
 void HealthEngine::add_gauge(std::string name, std::function<double()> probe,
                              double ceiling) {
@@ -302,17 +299,6 @@ std::vector<HealthWindow> HealthEngine::windows() const {
     out.push_back(ring_[(start + i) % cfg_.ring_capacity]);
   }
   return out;
-}
-
-ScopedHealthEngine::ScopedHealthEngine(HealthEngine* engine) {
-  if (engine == nullptr) return;
-  installed_ = engine;
-  previous_ = t_current_health;
-  t_current_health = engine;
-}
-
-ScopedHealthEngine::~ScopedHealthEngine() {
-  if (installed_ != nullptr) t_current_health = previous_;
 }
 
 }  // namespace wgtt::obs

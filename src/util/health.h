@@ -17,11 +17,10 @@
 // platform).  The only optional nondeterministic field is the host RSS
 // sample, off by default and enabled for soak drift analysis.
 //
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer /
-// FlightRecorder: a HealthEngine is owned by one Testbed, installed as the
-// constructing thread's context-current engine, and components cache
-// `current()` once at construction — a null pointer (health off, the
-// default) makes every ledger site a single branch with zero allocations.
+// A HealthEngine is owned by one Testbed and installed in its sim::Context
+// like the other per-run services; components cache the context's engine
+// once at construction — a null pointer (health off, the default) makes
+// every ledger site a single branch with zero allocations.
 //
 // The packet-conservation ledger counts *per-copy instances* of the
 // flight-recorded transport payloads (kData / kTcpAck; management and
@@ -116,7 +115,10 @@ struct HealthWindow {
 
 class HealthEngine {
  public:
-  explicit HealthEngine(HealthConfig cfg = {});
+  /// `metrics` is the run's registry (optional), read at each window close
+  /// by the monotone-counter and liveness-FSM watchdogs.
+  explicit HealthEngine(HealthConfig cfg = {},
+                        metrics::MetricsRegistry* metrics = nullptr);
   HealthEngine(const HealthEngine&) = delete;
   HealthEngine& operator=(const HealthEngine&) = delete;
 
@@ -187,10 +189,6 @@ class HealthEngine {
   const std::string& jsonl() const { return out_; }
   const HealthConfig& config() const { return cfg_; }
 
-  /// The engine the calling thread's current simulation reports into, or
-  /// nullptr when health is off (the default).
-  static HealthEngine* current();
-
  private:
   struct GaugeSlot {
     std::string name;
@@ -225,20 +223,6 @@ class HealthEngine {
   std::map<std::uint32_t, Time> open_outages_;  // client -> outage begin
   std::vector<OutageRecord> outages_;
   Time last_fault_clear_;
-};
-
-/// Install `engine` as the calling thread's current health engine for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedHealthEngine {
- public:
-  explicit ScopedHealthEngine(HealthEngine* engine);
-  ~ScopedHealthEngine();
-  ScopedHealthEngine(const ScopedHealthEngine&) = delete;
-  ScopedHealthEngine& operator=(const ScopedHealthEngine&) = delete;
-
- private:
-  HealthEngine* installed_ = nullptr;
-  HealthEngine* previous_ = nullptr;
 };
 
 }  // namespace wgtt::obs

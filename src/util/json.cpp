@@ -279,12 +279,12 @@ class JsonParser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          unsigned cp;
+          unsigned cp = 0;
           if (!parse_hex4(cp)) return false;
           if (cp >= 0xD800 && cp <= 0xDBFF) {
             // Surrogate pair: require the low half immediately after.
             if (!literal("\\u")) return fail("lone high surrogate");
-            unsigned low;
+            unsigned low = 0;
             if (!parse_hex4(low)) return false;
             if (low < 0xDC00 || low > 0xDFFF) return fail("bad low surrogate");
             cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);

@@ -2,13 +2,9 @@
 
 #include <cstdio>
 
+#include "sim/context.h"
+
 namespace wgtt {
-namespace {
-
-/// Innermost ScopedLogSink on this thread; null = use the default sink.
-thread_local LogSink* t_current_sink = nullptr;
-
-}  // namespace
 
 const char* to_string(LogLevel l) {
   switch (l) {
@@ -35,18 +31,8 @@ LogSink& default_log_sink() {
 }
 
 LogSink& current_log_sink() {
-  return t_current_sink != nullptr ? *t_current_sink : default_log_sink();
-}
-
-ScopedLogSink::ScopedLogSink(LogSink* sink) {
-  if (sink == nullptr) return;
-  installed_ = sink;
-  previous_ = t_current_sink;
-  t_current_sink = sink;
-}
-
-ScopedLogSink::~ScopedLogSink() {
-  if (installed_ != nullptr) t_current_sink = previous_;
+  LogSink* sink = sim::Context::current().log_sink;
+  return sink != nullptr ? *sink : default_log_sink();
 }
 
 LogLevel log_level() { return current_log_sink().threshold(); }

@@ -1,15 +1,15 @@
 // Minimal leveled logging, thread-isolatable per simulation.
 //
 // Messages flow through a LogSink.  Which sink receives a message is decided
-// by a *context-current* pointer (thread-local), so concurrent simulations on
-// different threads each log through their own sink without touching any
-// shared mutable state.  When no sink has been installed on the calling
-// thread, messages fall back to the process-wide default sink, whose
+// by the calling thread's simulation context (sim::Context::log_sink), so
+// concurrent simulations on different threads each log through their own
+// sink without touching any shared mutable state.  When the context holds no
+// sink, messages fall back to the process-wide default sink, whose
 // threshold is a std::atomic so the WGTT_LOG fast path stays a relaxed load.
 //
 // Off by default so benchmark runs stay quiet; tests and examples can turn
 // on per-component tracing with set_log_level(), or capture output with a
-// CapturingLogSink installed via ScopedLogSink.
+// CapturingLogSink installed via sim::ScopedContext.
 #pragma once
 
 #include <atomic>
@@ -79,31 +79,16 @@ class CapturingLogSink : public LogSink {
 /// The process-wide fallback sink (writes to stderr).
 LogSink& default_log_sink();
 
-/// The sink WGTT_LOG currently routes to on this thread: the innermost
-/// installed ScopedLogSink, or the default sink when none is installed.
+/// The sink WGTT_LOG currently routes to on this thread: the simulation
+/// context's log sink, or the default sink when the context has none.
 LogSink& current_log_sink();
-
-/// Install `sink` as the calling thread's current sink for the lifetime of
-/// this object (RAII; nests).  Passing nullptr is a no-op, keeping whatever
-/// sink is already current — convenient for optional per-sim sinks.
-class ScopedLogSink {
- public:
-  explicit ScopedLogSink(LogSink* sink);
-  ~ScopedLogSink();
-  ScopedLogSink(const ScopedLogSink&) = delete;
-  ScopedLogSink& operator=(const ScopedLogSink&) = delete;
-
- private:
-  LogSink* installed_ = nullptr;
-  LogSink* previous_ = nullptr;
-};
 
 /// Threshold of the calling thread's current sink; messages below it are
 /// discarded cheaply (a thread-local read plus a relaxed atomic load).
 LogLevel log_level();
 
-/// Set the threshold of the calling thread's current sink.  With no scoped
-/// sink installed this adjusts the process-wide default, preserving the
+/// Set the threshold of the calling thread's current sink.  With no sink in
+/// the context this adjusts the process-wide default, preserving the
 /// historical "global log level" behaviour.
 void set_log_level(LogLevel level);
 

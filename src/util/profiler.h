@@ -8,10 +8,9 @@
 //
 // Attribution is exclusive (self-time): when sections nest, elapsed time is
 // charged to the innermost open section only, so the per-section totals of a
-// run always sum to no more than the run's wall time.  Like LogSink /
-// MetricsRegistry / Tracer, a Profiler is owned by one Testbed, installed as
-// the constructing thread's context-current profiler for the Testbed's
-// lifetime, and components cache `Profiler::current()` plus typed Section
+// run always sum to no more than the run's wall time.  Like the other
+// per-run services, a Profiler is owned by one Testbed and installed in its
+// sim::Context; components cache the context's profiler plus typed Section
 // pointers at construction — a null pointer (profiling off) makes every
 // timed site a single branch.
 #pragma once
@@ -65,16 +64,11 @@ class Profiler {
 
   ProfileSnapshot snapshot() const;
 
-  /// The profiler the calling thread's current simulation times into, or
-  /// nullptr when profiling is off (the default outside a Testbed).
-  static Profiler* current();
-
   /// Monotonic host clock in nanoseconds.
   static std::int64_t now_ns();
 
  private:
   friend class ScopedSection;
-  friend class ScopedProfiler;
 
   // Exclusive attribution: elapsed host time is always charged to the top of
   // the open-section stack; entering or leaving a section settles the time
@@ -102,20 +96,6 @@ class ScopedSection {
 
  private:
   Profiler* profiler_;
-};
-
-/// Install `profiler` as the calling thread's current profiler for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedProfiler {
- public:
-  explicit ScopedProfiler(Profiler* profiler);
-  ~ScopedProfiler();
-  ScopedProfiler(const ScopedProfiler&) = delete;
-  ScopedProfiler& operator=(const ScopedProfiler&) = delete;
-
- private:
-  Profiler* installed_ = nullptr;
-  Profiler* previous_ = nullptr;
 };
 
 }  // namespace wgtt::prof

@@ -30,6 +30,12 @@ inline std::uint64_t fnv1a(std::string_view s) {
 
 }  // namespace
 
+bool uid_sampled(std::uint64_t uid, std::uint64_t seed, std::uint32_t sample) {
+  if (uid == 0 || sample <= 1) return true;
+  std::uint64_t state = uid ^ seed;
+  return splitmix64(state) % sample == 0;
+}
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);

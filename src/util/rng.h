@@ -50,4 +50,10 @@ class Rng {
   bool has_cached_gaussian_ = false;
 };
 
+/// Seeded 1-in-`sample` selection of packet uids by hash, independent of
+/// arrival order.  The flight recorder and the causal tracer both sample
+/// through this one function, so at the same (seed, sample) the two streams
+/// cover the same packets.  uid 0 (markers) and sample <= 1 always select.
+bool uid_sampled(std::uint64_t uid, std::uint64_t seed, std::uint32_t sample);
+
 }  // namespace wgtt

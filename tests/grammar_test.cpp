@@ -288,7 +288,10 @@ TEST(PolicySpecGrammar, OverlongInputsStayGraceful) {
   std::string text = "median_esnr:";
   for (int i = 0; i < 2000; ++i) {
     if (i) text += ',';
-    text += "k" + std::to_string(i) + "=" + std::to_string(i);
+    text += 'k';
+    text += std::to_string(i);
+    text += '=';
+    text += std::to_string(i);
   }
   ASSERT_TRUE(core::parse_policy_spec(text, spec, &err)) << err;
   EXPECT_EQ(spec.params.size(), 2000u);
@@ -463,7 +466,9 @@ TEST(FaultPlanGrammar, ControlChaosGeneratorHonoursKindMask) {
     ASSERT_FALSE(plan.empty());
     for (const sim::FaultEvent& ev : plan.events) {
       EXPECT_EQ(ev.kind, mc.want);
-      if (ev.kind == FaultKind::kCtrlCrash) EXPECT_EQ(ev.node, 0u);
+      if (ev.kind == FaultKind::kCtrlCrash) {
+        EXPECT_EQ(ev.node, 0u);
+      }
       EXPECT_GE(ev.at.to_ns(), (horizon * 0.10).to_ns());
       EXPECT_LE(ev.at.to_ns(), (horizon * 0.75).to_ns());
       EXPECT_GT(ev.duration.to_ns(), 0);

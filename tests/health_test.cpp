@@ -154,23 +154,6 @@ TEST(HealthEngineTest, FinalizeIsIdempotentAndNeverSamplesGauges) {
   EXPECT_EQ(summaries, 1u);
 }
 
-TEST(HealthEngineTest, ScopedInstallNestsAndNullKeepsCurrent) {
-  obs::HealthEngine* before = obs::HealthEngine::current();
-  obs::HealthEngine a(unit_config()), b(unit_config());
-  {
-    obs::ScopedHealthEngine sa(&a);
-    EXPECT_EQ(obs::HealthEngine::current(), &a);
-    {
-      obs::ScopedHealthEngine keep(nullptr);
-      EXPECT_EQ(obs::HealthEngine::current(), &a);
-      obs::ScopedHealthEngine sb(&b);
-      EXPECT_EQ(obs::HealthEngine::current(), &b);
-    }
-    EXPECT_EQ(obs::HealthEngine::current(), &a);
-  }
-  EXPECT_EQ(obs::HealthEngine::current(), before);
-}
-
 // ---------------------------------------------------------------------------
 // Integration: the health engine inside a real drive
 // ---------------------------------------------------------------------------

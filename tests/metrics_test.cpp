@@ -1,11 +1,10 @@
 // Unit and property tests for util/metrics: histogram bucket accounting,
-// quantile bracketing on synthetic distributions, merge equivalence, and the
-// thread-scoped registry context the per-sim instrumentation hangs off.
+// quantile bracketing on synthetic distributions, merge equivalence, and
+// snapshot serialization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "util/metrics.h"
@@ -250,7 +249,7 @@ TEST(HistogramTest, UpperBoundIsInclusive) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry + thread context
+// Registry
 // ---------------------------------------------------------------------------
 
 TEST(MetricsRegistryTest, FindOrCreateReturnsStableReferences) {
@@ -286,33 +285,6 @@ TEST(MetricsRegistryTest, SnapshotJsonShape) {
   EXPECT_NE(json.find("\"gauges\":{\"depth\":2.5}"), std::string::npos);
   EXPECT_NE(json.find("\"lat\":{\"count\":1"), std::string::npos);
   EXPECT_NE(json.find("\"buckets\":[0,1,0]"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, ScopedContextInstallsAndNests) {
-  EXPECT_EQ(MetricsRegistry::current(), nullptr);
-  MetricsRegistry outer, inner;
-  {
-    ScopedMetricsRegistry a(&outer);
-    EXPECT_EQ(MetricsRegistry::current(), &outer);
-    {
-      ScopedMetricsRegistry b(&inner);
-      EXPECT_EQ(MetricsRegistry::current(), &inner);
-      // Null installer is a no-op, not an uninstall.
-      ScopedMetricsRegistry c(nullptr);
-      EXPECT_EQ(MetricsRegistry::current(), &inner);
-    }
-    EXPECT_EQ(MetricsRegistry::current(), &outer);
-  }
-  EXPECT_EQ(MetricsRegistry::current(), nullptr);
-}
-
-TEST(MetricsRegistryTest, ContextIsPerThread) {
-  MetricsRegistry reg;
-  ScopedMetricsRegistry scope(&reg);
-  MetricsRegistry* seen = &reg;
-  std::thread([&seen]() { seen = MetricsRegistry::current(); }).join();
-  EXPECT_EQ(seen, nullptr);  // other threads see no registry
-  EXPECT_EQ(MetricsRegistry::current(), &reg);
 }
 
 }  // namespace

@@ -279,23 +279,6 @@ TEST(FlightRecorderTest, SamplerIsSeededDeterministicAndKeepsMarkers) {
             "{\"kind\":\"schema\",\"stream\":\"wgtt.packets\",\"version\":1}\n");
 }
 
-TEST(FlightRecorderTest, ScopedInstallNestsAndNullKeepsCurrent) {
-  FlightRecorder* before = FlightRecorder::current();
-  FlightRecorder a, b;
-  {
-    ScopedFlightRecorder sa(&a);
-    EXPECT_EQ(FlightRecorder::current(), &a);
-    {
-      ScopedFlightRecorder keep(nullptr);
-      EXPECT_EQ(FlightRecorder::current(), &a);
-      ScopedFlightRecorder sb(&b);
-      EXPECT_EQ(FlightRecorder::current(), &b);
-    }
-    EXPECT_EQ(FlightRecorder::current(), &a);
-  }
-  EXPECT_EQ(FlightRecorder::current(), before);
-}
-
 TEST(PacketTest, ScopedUidAllocatorRestartsPerSim) {
   PacketUidAllocator sim_a, sim_b;
   {

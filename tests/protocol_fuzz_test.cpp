@@ -35,6 +35,7 @@
 #include "phy/error_model.h"
 #include "scenario/experiment.h"
 #include "scenario/sweep.h"
+#include "sim/context.h"
 #include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 #include "util/metrics.h"
@@ -61,7 +62,7 @@ class HardenedFsmTest : public ::testing::Test {
  protected:
   HardenedFsmTest()
       : injector(sched, FaultPlan{}, Rng(2).fork("faults")),
-        scope(&injector),
+        scope(sim::Context{.fault_injector = &injector}),
         backhaul(sched, net::BackhaulConfig{}, Rng(1)),
         controller(sched, backhaul, {1, 2}, ControllerConfig{}) {}
 
@@ -144,7 +145,7 @@ class HardenedFsmTest : public ::testing::Test {
 
   sim::Scheduler sched;
   net::FaultInjector injector;
-  net::ScopedFaultInjector scope;
+  sim::ScopedContext scope;
   net::Backhaul backhaul;
   WgttController controller;
   int stops_seen = 0;
@@ -211,7 +212,7 @@ class HardenedApWorld {
         medium(sched, channel),
         ctx(sched, medium, channel, error_model, Rng(4)),
         injector(sched, FaultPlan{}, Rng(2).fork("faults")),
-        scope(&injector),
+        scope(sim::Context{.fault_injector = &injector}),
         backhaul(sched, net::BackhaulConfig{}, Rng(1)) {
     channel::ApSite site;
     site.id = 1;
@@ -269,7 +270,7 @@ class HardenedApWorld {
   mac::Medium medium;
   mac::MacContext ctx;
   net::FaultInjector injector;
-  net::ScopedFaultInjector scope;
+  sim::ScopedContext scope;
   net::Backhaul backhaul;
   std::unique_ptr<mac::WifiDevice> device;
   std::unique_ptr<core::WgttAp> ap;

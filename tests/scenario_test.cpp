@@ -7,6 +7,7 @@
 #include "scenario/experiment.h"
 #include "scenario/metrics.h"
 #include "scenario/testbed.h"
+#include "sim/context.h"
 #include "util/units.h"
 
 namespace wgtt::scenario {
@@ -70,7 +71,7 @@ TEST(FlowRouterTest, DispatchesByFlowId) {
 
 TEST(FlowRouterTest, UnhandledFlowCountsAndLogs) {
   CapturingLogSink sink(LogLevel::kDebug);
-  ScopedLogSink scope(&sink);
+  sim::ScopedContext scope(sim::Context{.log_sink = &sink});
   FlowRouter router;
   net::Packet p;
   p.flow_id = 77;

@@ -24,10 +24,13 @@
 namespace wgtt {
 namespace {
 
+// The member pointer leads: gtest names each case after a byte dump of
+// this struct, and an offset into DriveResult prints the same in every
+// build, where a string literal's address moves with the link layout.
 struct StreamCase {
+  std::string scenario::DriveResult::*field;    // where the drive puts it
   const char* stream;                           // schema header stream name
   const char* subcommand;                       // wgtt-report reader
-  std::string scenario::DriveResult::*field;    // where the drive puts it
 };
 
 /// One fixed-seed drive with every JSONL emitter enabled, shared across all
@@ -112,14 +115,14 @@ TEST_P(SchemaHeaderTest, ReportReadsStreamAndRejectsUnknownVersion) {
 INSTANTIATE_TEST_SUITE_P(
     AllStreams, SchemaHeaderTest,
     ::testing::Values(
-        StreamCase{"wgtt.decisions", "decisions",
-                   &scenario::DriveResult::decision_jsonl},
-        StreamCase{"wgtt.packets", "packets",
-                   &scenario::DriveResult::packet_jsonl},
-        StreamCase{"wgtt.health", "health",
-                   &scenario::DriveResult::health_jsonl},
-        StreamCase{"wgtt.causal", "critical-path",
-                   &scenario::DriveResult::causal_jsonl}),
+        StreamCase{&scenario::DriveResult::decision_jsonl,
+                   "wgtt.decisions", "decisions"},
+        StreamCase{&scenario::DriveResult::packet_jsonl,
+                   "wgtt.packets", "packets"},
+        StreamCase{&scenario::DriveResult::health_jsonl,
+                   "wgtt.health", "health"},
+        StreamCase{&scenario::DriveResult::causal_jsonl,
+                   "wgtt.causal", "critical-path"}),
     [](const ::testing::TestParamInfo<StreamCase>& info) {
       std::string name = info.param.subcommand;
       for (char& c : name) {

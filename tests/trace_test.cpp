@@ -102,23 +102,6 @@ TEST(TracerTest, EmitsWellFormedChromeTraceDocument) {
   EXPECT_EQ(&t.finish(), &json);
 }
 
-TEST(TracerTest, ScopedContextInstallsAndNests) {
-  EXPECT_EQ(trace::Tracer::current(), nullptr);
-  trace::Tracer outer, inner;
-  {
-    trace::ScopedTracer a(&outer);
-    EXPECT_EQ(trace::Tracer::current(), &outer);
-    {
-      trace::ScopedTracer b(&inner);
-      EXPECT_EQ(trace::Tracer::current(), &inner);
-      trace::ScopedTracer c(nullptr);  // no-op, not an uninstall
-      EXPECT_EQ(trace::Tracer::current(), &inner);
-    }
-    EXPECT_EQ(trace::Tracer::current(), &outer);
-  }
-  EXPECT_EQ(trace::Tracer::current(), nullptr);
-}
-
 TEST(Sha256Test, MatchesKnownVectors) {
   // FIPS 180-4 test vectors.
   EXPECT_EQ(sha256_hex(""),

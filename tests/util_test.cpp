@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "sim/context.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/profiler.h"
@@ -217,7 +218,7 @@ TEST(LoggingTest, DefaultSinkIsCurrentAndOff) {
 TEST(LoggingTest, ScopedSinkCapturesAndRestores) {
   CapturingLogSink sink(LogLevel::kDebug);
   {
-    ScopedLogSink scope(&sink);
+    sim::ScopedContext scope(sim::Context{.log_sink = &sink});
     EXPECT_EQ(&current_log_sink(), &sink);
     WGTT_LOG(kInfo, "test", "hello " << 42);
     WGTT_LOG(kTrace, "test", "below threshold");  // filtered
@@ -231,9 +232,9 @@ TEST(LoggingTest, ScopedSinkCapturesAndRestores) {
 
 TEST(LoggingTest, NullScopedSinkIsNoOp) {
   CapturingLogSink outer(LogLevel::kTrace);
-  ScopedLogSink outer_scope(&outer);
+  sim::ScopedContext outer_scope(sim::Context{.log_sink = &outer});
   {
-    ScopedLogSink noop(nullptr);
+    sim::ScopedContext noop(sim::Context{.log_sink = nullptr});
     EXPECT_EQ(&current_log_sink(), &outer);
   }
   EXPECT_EQ(&current_log_sink(), &outer);
@@ -242,9 +243,9 @@ TEST(LoggingTest, NullScopedSinkIsNoOp) {
 TEST(LoggingTest, ScopesNest) {
   CapturingLogSink a(LogLevel::kTrace);
   CapturingLogSink b(LogLevel::kTrace);
-  ScopedLogSink sa(&a);
+  sim::ScopedContext sa(sim::Context{.log_sink = &a});
   {
-    ScopedLogSink sb(&b);
+    sim::ScopedContext sb(sim::Context{.log_sink = &b});
     WGTT_LOG(kWarn, "nest", "inner");
   }
   WGTT_LOG(kWarn, "nest", "outer");
@@ -256,7 +257,7 @@ TEST(LoggingTest, ScopesNest) {
 
 TEST(LoggingTest, SetLogLevelTargetsCurrentSink) {
   CapturingLogSink sink(LogLevel::kOff);
-  ScopedLogSink scope(&sink);
+  sim::ScopedContext scope(sim::Context{.log_sink = &sink});
   set_log_level(LogLevel::kError);
   EXPECT_EQ(sink.threshold(), LogLevel::kError);
   // The process-wide default is untouched.
@@ -265,7 +266,7 @@ TEST(LoggingTest, SetLogLevelTargetsCurrentSink) {
 
 TEST(LoggingTest, CurrentSinkIsPerThread) {
   CapturingLogSink sink(LogLevel::kTrace);
-  ScopedLogSink scope(&sink);
+  sim::ScopedContext scope(sim::Context{.log_sink = &sink});
   LogSink* other_thread_sink = nullptr;
   std::thread t([&]() { other_thread_sink = &current_log_sink(); });
   t.join();
@@ -463,23 +464,6 @@ TEST(ProfilerTest, NullProfilerScopedSectionIsNoOp) {
   prof::Section s;
   prof::ScopedSection timer(nullptr, &s);
   EXPECT_EQ(s.calls, 0u);
-}
-
-TEST(ProfilerTest, ScopedContextInstallsAndNests) {
-  EXPECT_EQ(prof::Profiler::current(), nullptr);
-  prof::Profiler outer, inner;
-  {
-    prof::ScopedProfiler a(&outer);
-    EXPECT_EQ(prof::Profiler::current(), &outer);
-    {
-      prof::ScopedProfiler b(&inner);
-      EXPECT_EQ(prof::Profiler::current(), &inner);
-      prof::ScopedProfiler c(nullptr);  // no-op, not an uninstall
-      EXPECT_EQ(prof::Profiler::current(), &inner);
-    }
-    EXPECT_EQ(prof::Profiler::current(), &outer);
-  }
-  EXPECT_EQ(prof::Profiler::current(), nullptr);
 }
 
 TEST(ProfilerTest, SnapshotJsonShapeParses) {
