@@ -77,7 +77,7 @@ Row time_kernel(const std::string& label, std::size_t iters, int reps,
 // --- Kernels -------------------------------------------------------------
 
 // Per-subcarrier fading response over the production HT20 grid: the
-// twiddle-cached SoA sum-of-sinusoids path (campaign item 1).
+// shared-twiddle-table SoA sum-of-sinusoids path (campaign item 1).
 Row bench_fading_response(int reps) {
   const channel::FadingConfig cfg;  // production street-canyon profile
   const channel::FadingProcess fp(cfg, Rng(42));

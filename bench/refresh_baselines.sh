@@ -7,7 +7,12 @@
 # moves the deterministic outputs (goodput, switch counts) or the report
 # schema (run labels, metrics keys).
 #
-# Usage:  bench/refresh_baselines.sh [BUILD_DIR]
+# Usage:  bench/refresh_baselines.sh [BUILD_DIR] [BENCH_ID...]
+#
+# With no BENCH_IDs every baseline is refreshed; otherwise only the named
+# ones (ids are the first column of the table below, plus `soak`), e.g.
+#   bench/refresh_baselines.sh build-baseline hotpath
+# when a change legitimately moves only the hot-path microbench rows.
 #
 # Runs each baseline bench single-job for stable wall_ms numbers; expect a
 # few minutes.  Run on an otherwise idle machine, then review the printed
@@ -16,6 +21,8 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build-baseline}"
+if [[ $# -gt 0 ]]; then shift; fi
+requested=("$@")
 baseline_dir="${repo_root}/bench/baselines"
 
 # Bench id -> committed baseline file -> bench args.  Sweep benches run
@@ -29,11 +36,32 @@ benches=(
   "hotpath hotpath.json --reps 5"
 )
 
-cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
-targets=(wgtt-report bench_soak)
+# wanted ID: true when no ids were given or ID is among them.
+wanted() {
+  [[ ${#requested[@]} -eq 0 ]] && return 0
+  local id
+  for id in "${requested[@]}"; do
+    [[ "${id}" == "$1" ]] && return 0
+  done
+  return 1
+}
+
+known=(soak)
 for entry in "${benches[@]}"; do
   read -r bench_id _ <<<"${entry}"
-  targets+=("bench_${bench_id}")
+  known+=("${bench_id}")
+done
+for id in "${requested[@]}"; do
+  if [[ " ${known[*]} " != *" ${id} "* ]]; then
+    echo "unknown bench id '${id}' (known: ${known[*]})" >&2
+    exit 2
+  fi
+done
+
+cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
+targets=(wgtt-report)
+for id in "${known[@]}"; do
+  if wanted "${id}"; then targets+=("bench_${id}"); fi
 done
 cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
@@ -42,6 +70,7 @@ trap 'rm -rf "${workdir}"' EXIT
 
 for entry in "${benches[@]}"; do
   read -r bench_id baseline_file bench_args <<<"${entry}"
+  wanted "${bench_id}" || continue
   echo "== ${bench_id} -> baselines/${baseline_file}"
   # shellcheck disable=SC2086  # bench_args is intentionally word-split
   (cd "${workdir}" && "${build_dir}/bench/bench_${bench_id}" ${bench_args} --force)
@@ -59,9 +88,11 @@ done
 # (window/check/violation counts, packet ledger, drift slopes), not the
 # BENCH json, so it is emitted by the analyzer rather than copied.  Keep
 # --sim-minutes in lockstep with the soak-health job in ci.yml.
-echo "== soak -> baselines/soak.json (health-stream baseline)"
-(cd "${workdir}" && "${build_dir}/bench/bench_soak" --sim-minutes 12 --health-strict --force)
-"${build_dir}/src/wgtt-report" health "${workdir}/HEALTH_soak.jsonl" \
-  --strict --emit-baseline "${baseline_dir}/soak.json"
+if wanted soak; then
+  echo "== soak -> baselines/soak.json (health-stream baseline)"
+  (cd "${workdir}" && "${build_dir}/bench/bench_soak" --sim-minutes 12 --health-strict --force)
+  "${build_dir}/src/wgtt-report" health "${workdir}/HEALTH_soak.jsonl" \
+    --strict --emit-baseline "${baseline_dir}/soak.json"
+fi
 
 echo "baselines refreshed; review with git diff before committing"

@@ -21,6 +21,7 @@ ChannelModel::ChannelModel(RadioConfig radio, PathLossConfig pathloss,
       pathloss_(pathloss),
       shadowing_cfg_(shadowing),
       fading_cfg_(fading),
+      twiddles_(std::make_shared<const Ht20Twiddles>(fading_cfg_)),
       rng_(rng) {
   if (auto* p = sim::Context::current().profiler) {
     prof_ = p;
@@ -76,8 +77,8 @@ ChannelModel::Link& ChannelModel::link(net::NodeId ap_id,
     Link l;
     const std::uint64_t tag =
         (static_cast<std::uint64_t>(ap_id) << 32) | client_id;
-    l.fading = std::make_unique<FadingProcess>(fading_cfg_,
-                                               rng_.fork(tag * 2 + 1));
+    l.fading = std::make_unique<FadingProcess>(
+        fading_cfg_, rng_.fork(tag * 2 + 1), twiddles_);
     l.shadowing = std::make_unique<ShadowingProcess>(shadowing_cfg_,
                                                      rng_.fork(tag * 2));
     it = links_.emplace(key, std::move(l)).first;

@@ -109,6 +109,12 @@ class ChannelModel {
   void candidate_aps(net::NodeId client, Time t,
                      std::vector<net::NodeId>& out) const;
 
+  /// The HT20 twiddle table shared by every link's fading process (its
+  /// use_count is 1 + the number of links created so far).
+  const std::shared_ptr<const Ht20Twiddles>& ht20_twiddles() const {
+    return twiddles_;
+  }
+
  private:
   struct ClientInfo {
     std::shared_ptr<const MobilityModel> mobility;
@@ -155,6 +161,8 @@ class ChannelModel {
   LogDistancePathLoss pathloss_;
   ShadowingConfig shadowing_cfg_;
   FadingConfig fading_cfg_;
+  // The one HT20 twiddle table every link's fading process reads.
+  std::shared_ptr<const Ht20Twiddles> twiddles_;
   mutable Rng rng_;
   std::map<net::NodeId, ApSite> aps_;
   std::vector<net::NodeId> ap_order_;

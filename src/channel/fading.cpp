@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 
 #include "util/units.h"
@@ -10,14 +11,38 @@
 namespace wgtt::channel {
 
 namespace {
-// Twiddle caching is keyed by grid contents; cap the number of distinct
-// grids one process will cache so adversarial callers (tests sweeping many
-// grids) cannot grow memory without bound.  Past the cap, response() falls
-// back to computing twiddles inline — same expressions, just uncached.
-constexpr std::size_t kMaxCachedGrids = 8;
+// Tap delay as FadingProcess and the twiddle table both compute it: the two
+// must agree bit for bit for the table's rows to be the process's twiddles.
+double tap_delay_s(const TapSpec& spec) { return spec.delay_ns * 1e-9; }
 }  // namespace
 
-FadingProcess::FadingProcess(FadingConfig cfg, Rng rng) {
+Ht20Twiddles::Ht20Twiddles(const FadingConfig& cfg) {
+  delays_s_.reserve(cfg.taps.size());
+  for (const auto& spec : cfg.taps) delays_s_.push_back(tap_delay_s(spec));
+}
+
+void Ht20Twiddles::build() const {
+  const std::span<const double> offsets = ht20_subcarrier_offsets_hz();
+  re_.reserve(delays_s_.size() * kNumSubcarriers);
+  im_.reserve(delays_s_.size() * kNumSubcarriers);
+  for (const double delay_s : delays_s_) {
+    for (const double offset_hz : offsets) {
+      // Verbatim the reference twiddle expression: bitwise identity with
+      // ReferenceFading depends on computing the exact same arg and the
+      // exact same cos/sin here, merely at a different time.
+      const double arg = -2.0 * kPi * offset_hz * delay_s;
+      re_.push_back(std::cos(arg));
+      im_.push_back(std::sin(arg));
+    }
+  }
+  built_ = true;
+}
+
+FadingProcess::FadingProcess(FadingConfig cfg, Rng rng,
+                             std::shared_ptr<const Ht20Twiddles> twiddles)
+    : twiddles_(twiddles ? std::move(twiddles)
+                         : std::make_shared<const Ht20Twiddles>(cfg)) {
+  assert(twiddles_->tap_count() == cfg.taps.size());
   // Normalise tap powers to sum to 1.
   double total = 0.0;
   for (const auto& spec : cfg.taps) total += db_to_linear(spec.relative_power_db);
@@ -34,7 +59,8 @@ FadingProcess::FadingProcess(FadingConfig cfg, Rng rng) {
   for (const auto& spec : cfg.taps) {
     Tap tap;
     tap.amplitude = std::sqrt(db_to_linear(spec.relative_power_db) / total);
-    tap.delay_s = spec.delay_ns * 1e-9;
+    tap.delay_s = tap_delay_s(spec);
+    assert(tap.delay_s == twiddles_->delay_s(taps_.size()));
     const double k_factor = spec.rician_k;
     tap.los_fraction = std::sqrt(k_factor / (k_factor + 1.0));
     tap.nlos_fraction = std::sqrt(1.0 / (k_factor + 1.0)) /
@@ -110,37 +136,9 @@ std::complex<double> FadingProcess::tap_gain(const Tap& tap,
   return g * tap.amplitude;
 }
 
-const FadingProcess::TwiddleCache* FadingProcess::twiddles_for(
-    std::span<const double> subcarrier_offsets_hz) const {
-  for (const TwiddleCache& c : twiddles_) {
-    if (c.offsets_hz.size() == subcarrier_offsets_hz.size() &&
-        std::equal(c.offsets_hz.begin(), c.offsets_hz.end(),
-                   subcarrier_offsets_hz.begin())) {
-      return &c;
-    }
-  }
-  if (twiddles_.size() >= kMaxCachedGrids) return nullptr;
-  TwiddleCache c;
-  c.offsets_hz.assign(subcarrier_offsets_hz.begin(),
-                      subcarrier_offsets_hz.end());
-  c.rows.reserve(taps_.size() * subcarrier_offsets_hz.size());
-  for (const auto& tap : taps_) {
-    for (std::size_t k = 0; k < subcarrier_offsets_hz.size(); ++k) {
-      // Verbatim the reference twiddle expression: bitwise identity with
-      // ReferenceFading depends on computing the exact same arg and the
-      // exact same cos/sin here, merely at a different time.
-      const double arg = -2.0 * kPi * subcarrier_offsets_hz[k] * tap.delay_s;
-      c.rows.emplace_back(std::cos(arg), std::sin(arg));
-    }
-  }
-  twiddles_.push_back(std::move(c));
-  return &twiddles_.back();
-}
-
 void FadingProcess::response(double distance_m,
                              std::span<const double> subcarrier_offsets_hz,
                              std::span<std::complex<double>> out) const {
-  for (auto& h : out) h = {0.0, 0.0};
   scratch_gain_.resize(taps_.size());
   if (vecm::available()) {
     batch_tap_gains(distance_m, scratch_gain_.data());
@@ -149,19 +147,34 @@ void FadingProcess::response(double distance_m,
       scratch_gain_[t] = tap_gain(taps_[t], distance_m);
     }
   }
-  const TwiddleCache* cache = twiddles_for(subcarrier_offsets_hz);
-  if (cache != nullptr) {
-    const std::complex<double>* row = cache->rows.data();
+  const std::span<const double> ht20 = ht20_subcarrier_offsets_hz();
+  if (subcarrier_offsets_hz.data() == ht20.data() &&
+      subcarrier_offsets_hz.size() == ht20.size() &&
+      out.size() == ht20.size()) {
+    const double* re = twiddles_->re();
+    const double* im = twiddles_->im();
+    if (vecm::available()) {
+      // std::complex<double> is layout-compatible with double[2], so the
+      // kernel reads and writes the (re, im) pairs in place.
+      vecm::complex_gain_sum(
+          reinterpret_cast<const double*>(scratch_gain_.data()),
+          taps_.size(), re, im, kNumSubcarriers,
+          reinterpret_cast<double*>(out.data()));
+      return;
+    }
+    for (auto& h : out) h = {0.0, 0.0};
     for (std::size_t t = 0; t < taps_.size(); ++t) {
       const std::complex<double> g = scratch_gain_[t];
-      for (std::size_t k = 0; k < out.size(); ++k) {
-        out[k] += g * row[k];
+      for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
+        out[k] += g * std::complex<double>{re[k], im[k]};
       }
-      row += subcarrier_offsets_hz.size();
+      re += kNumSubcarriers;
+      im += kNumSubcarriers;
     }
     return;
   }
-  // Cache capacity exhausted: compute twiddles inline (the original loop).
+  // Any other grid computes its twiddles inline (the original loop).
+  for (auto& h : out) h = {0.0, 0.0};
   for (std::size_t t = 0; t < taps_.size(); ++t) {
     const std::complex<double> g = scratch_gain_[t];
     for (std::size_t k = 0; k < out.size(); ++k) {

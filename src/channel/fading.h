@@ -13,6 +13,7 @@
 #pragma once
 
 #include <complex>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,6 +39,43 @@ struct FadingConfig {
   };
 };
 
+/// 802.11n HT20 OFDM: 56 used subcarriers at +/-(1..28) * 312.5 kHz.  The
+/// span always points at the same storage, which is how FadingProcess
+/// recognises the grid its shared twiddle table covers.
+constexpr std::size_t kNumSubcarriers = 56;
+std::span<const double> ht20_subcarrier_offsets_hz();
+
+/// The distance-independent HT20 twiddles exp(-j 2 pi f_k tau_t) of one
+/// tap-delay profile, as separate re and im rows (taps x kNumSubcarriers,
+/// tap t's row at t * kNumSubcarriers).  Construction only records the
+/// delays, so building a channel costs nothing; the rows are computed on
+/// the first read and immutable afterwards.  One table serves every link of
+/// a ChannelModel (single-simulation objects are single-threaded, so the
+/// lazy build needs no lock).
+class Ht20Twiddles {
+ public:
+  explicit Ht20Twiddles(const FadingConfig& cfg);
+
+  std::size_t tap_count() const { return delays_s_.size(); }
+  double delay_s(std::size_t tap) const { return delays_s_[tap]; }
+  bool built() const { return built_; }
+  const double* re() const {
+    if (!built_) build();
+    return re_.data();
+  }
+  const double* im() const {
+    if (!built_) build();
+    return im_.data();
+  }
+
+ private:
+  void build() const;
+
+  std::vector<double> delays_s_;
+  mutable bool built_ = false;
+  mutable std::vector<double> re_, im_;
+};
+
 /// One fading realisation for one AP-client link (reciprocal: the same
 /// process serves uplink and downlink, which is what lets WGTT predict
 /// downlink delivery from uplink CSI).
@@ -45,20 +83,25 @@ struct FadingConfig {
 /// Hot-path layout (see channel::ReferenceFading for the retained original
 /// and DESIGN.md "Reference-vs-optimized seams" for the equivalence
 /// contract): the per-subcarrier twiddle exp(-j 2 pi f_k tau_t) depends
-/// only on the subcarrier grid and the tap delay — not on distance — so it
-/// is computed once per grid and cached, turning the inner response loop
-/// into a complex multiply-add over precomputed rows.  Sinusoid state is
-/// one flat SoA pair (spatial_freq / phase) shared by all taps so the
-/// per-sample cos/sin sweep runs over contiguous memory; when the libmvec
-/// kernels are available (vecm::available()) that sweep is vectorized,
-/// which bounds the divergence from the reference at a few ulp per
-/// sinusoid instead of bitwise identity.  Every other expression is kept
-/// verbatim from the reference — the sums over sinusoids, the LOS term,
-/// and the twiddle accumulation keep the reference association exactly —
-/// so tests/fading_diff_test.cpp can pin a tight ULP bound.
+/// only on the subcarrier grid and the tap delay — not on distance — so on
+/// the HT20 grid it is read from a shared Ht20Twiddles table, turning the
+/// inner response loop into an exact complex multiply-add over
+/// precomputed rows (vecm::complex_gain_sum).  Sinusoid state is one flat
+/// SoA pair (spatial_freq / phase) shared by all taps so the per-sample
+/// cos/sin sweep runs over contiguous memory; when the libmvec kernels are
+/// available (vecm::available()) that sweep is vectorized, which bounds the
+/// divergence from the reference at a few ulp per sinusoid instead of
+/// bitwise identity.  Every other expression is kept verbatim from the
+/// reference — the sums over sinusoids, the LOS term, and the twiddle
+/// accumulation keep the reference association exactly — so
+/// tests/fading_diff_test.cpp can pin a tight ULP bound.
 class FadingProcess {
  public:
-  FadingProcess(FadingConfig cfg, Rng rng);
+  /// `twiddles` must be built from a config with the same tap delays
+  /// (ChannelModel passes one table to every link); null gives the process
+  /// a table of its own.
+  FadingProcess(FadingConfig cfg, Rng rng,
+                std::shared_ptr<const Ht20Twiddles> twiddles = nullptr);
 
   /// Complex per-subcarrier response at the given travelled distance, for
   /// subcarrier offsets (Hz, relative to carrier).  Normalised so that the
@@ -84,34 +127,19 @@ class FadingProcess {
     std::size_t sin_begin = 0;    // first sinusoid in the flat SoA arrays
     std::size_t sin_count = 0;
   };
-  /// Distance-independent per-grid twiddle rows, taps x subcarriers.  Keyed
-  /// by the grid *contents* (spans may point at reused stack storage), built
-  /// lazily on first use; the simulation only ever presents the HT20 grid,
-  /// so this holds one entry in practice.
-  struct TwiddleCache {
-    std::vector<double> offsets_hz;
-    std::vector<std::complex<double>> rows;  // taps_.size() * offsets size
-  };
-
   std::complex<double> tap_gain(const Tap& tap, double distance_m) const;
   /// All taps' gains at one distance: one vectorized cos/sin sweep over the
   /// flat sinusoid arrays, then per-tap reductions in reference order.
   void batch_tap_gains(double distance_m, std::complex<double>* gains) const;
-  const TwiddleCache* twiddles_for(
-      std::span<const double> subcarrier_offsets_hz) const;
 
   std::vector<Tap> taps_;
   std::vector<double> sin_spatial_freq_;  // k * cos(theta_n), all taps, SoA
   std::vector<double> sin_phase_;
-  mutable std::vector<TwiddleCache> twiddles_;
+  std::shared_ptr<const Ht20Twiddles> twiddles_;
   // Per-call scratch for the vectorized sweep (single-simulation objects
-  // are single-threaded, like the twiddle cache above).
+  // are single-threaded, like the lazily built twiddle table).
   mutable std::vector<double> scratch_arg_, scratch_cos_, scratch_sin_;
   mutable std::vector<std::complex<double>> scratch_gain_;
 };
-
-/// 802.11n HT20 OFDM: 56 used subcarriers at +/-(1..28) * 312.5 kHz.
-constexpr std::size_t kNumSubcarriers = 56;
-std::span<const double> ht20_subcarrier_offsets_hz();
 
 }  // namespace wgtt::channel

@@ -466,7 +466,6 @@ void WifiDevice::evaluate_receptions(PendingExchange& ex, Time data_time,
     WifiDevice* ap = nullptr;
     BlockAckInfo ba;
     bool addressed = false;   // AP-mode interface of our BSSID
-    double rx_power_dbm = -200.0;  // power of ITS response at the client
     double response_delay_us = 0.0;
     phy::Csi csi;
   };
@@ -521,8 +520,6 @@ void WifiDevice::evaluate_receptions(PendingExchange& ex, Time data_time,
     if (addressed) {
       // This AP will respond with a BA (HT-immediate with jitter, §5.3.2).
       dec.response_delay_us = rng_.uniform(0.0, cfg_.ack_jitter_us);
-      dec.rx_power_dbm =
-          ctx_.channel().downlink_rssi_dbm(d->id(), self_, ba_time);
       decoders.push_back(std::move(dec));
     }
   }
@@ -531,18 +528,24 @@ void WifiDevice::evaluate_receptions(PendingExchange& ex, Time data_time,
 
   // Multi-AP BA response contention at the client (Table 3 model): the
   // earliest responder wins unless another response overlaps in time with
-  // comparable power, in which case the client decodes nothing.
+  // comparable power, in which case the client decodes nothing.  A
+  // response's power at the client is only read for the rare responder
+  // inside the overlap window, so it is evaluated there; channel queries
+  // are pure, so skipping the unread ones changes no result.
   std::sort(decoders.begin(), decoders.end(),
             [](const Decoder& a, const Decoder& b) {
               return a.response_delay_us < b.response_delay_us;
             });
   const Decoder& winner = decoders.front();
+  auto ba_power_dbm = [&](const Decoder& dec) {
+    return ctx_.channel().downlink_rssi_dbm(dec.ap->id(), self_, ba_time);
+  };
   bool collision = false;
   for (std::size_t i = 1; i < decoders.size(); ++i) {
     const Decoder& other = decoders[i];
     if (other.response_delay_us - winner.response_delay_us <
             cfg_.ack_overlap_us &&
-        other.rx_power_dbm > winner.rx_power_dbm - cfg_.ack_capture_db) {
+        ba_power_dbm(other) > ba_power_dbm(winner) - cfg_.ack_capture_db) {
       collision = true;
       break;
     }
@@ -816,7 +819,6 @@ void WifiDevice::run_mgmt_exchange() {
   struct Responder {
     WifiDevice* dev;
     double delay_us;
-    double power_dbm;
   };
   std::vector<Responder> responders;
   for (WifiDevice* d : ctx_.devices()) {
@@ -852,9 +854,6 @@ void WifiDevice::run_mgmt_exchange() {
       Responder r;
       r.dev = d;
       r.delay_us = rng_.uniform(0.0, cfg_.ack_jitter_us);
-      r.power_dbm = d->is_ap()
-                        ? ctx_.channel().downlink_rssi_dbm(d->id(), self_, now)
-                        : ctx_.channel().uplink_rssi_dbm(self_, d->id(), now);
       responders.push_back(r);
     }
   }
@@ -865,12 +864,19 @@ void WifiDevice::run_mgmt_exchange() {
               [](const Responder& a, const Responder& b) {
                 return a.delay_us < b.delay_us;
               });
+    // Response power is evaluated only where the overlap test reads it
+    // (see the uplink BA race), for the same node pair and instant.
+    auto ack_power_dbm = [&](const Responder& r) {
+      return r.dev->is_ap()
+                 ? ctx_.channel().downlink_rssi_dbm(r.dev->id(), self_, now)
+                 : ctx_.channel().uplink_rssi_dbm(self_, r.dev->id(), now);
+    };
     bool collision = false;
     for (std::size_t i = 1; i < responders.size(); ++i) {
       if (responders[i].delay_us - responders[0].delay_us <
               cfg_.ack_overlap_us &&
-          responders[i].power_dbm >
-              responders[0].power_dbm - cfg_.ack_capture_db) {
+          ack_power_dbm(responders[i]) >
+              ack_power_dbm(responders[0]) - cfg_.ack_capture_db) {
         collision = true;
         break;
       }

@@ -135,21 +135,20 @@ double vectorized_mean_ber(std::span<const double> subcarrier_snr_db,
     }
   }
 
+  // sqrt(scale * max(lin, 0) / denom) / sqrt2 and c1 * (0.5 * erfc): max,
+  // *, /, sqrt are all exactly-rounded IEEE ops, so the exact vecm kernels
+  // match the scalar path bit for bit (multiplying or dividing by 1.0 is
+  // exact too).
   double arg[kMaxVecSubcarriers];
-  const double sqrt2 = std::sqrt(2.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    // max / * / / / sqrt / / are all exactly-rounded IEEE ops, matching the
-    // scalar path bit for bit (multiplying or dividing by 1.0 is exact).
-    const double snr = std::max(lin[i], 0.0);
-    arg[i] = std::sqrt(scale * snr / denom) / sqrt2;
-  }
+  vecm::clamped_sqrt_ratio(lin, scale, denom, std::sqrt(2.0), arg, n);
   double erfc_out[kMaxVecSubcarriers];
   vecm::erfc(arg, erfc_out, n);
+  double ber_out[kMaxVecSubcarriers];
+  vecm::scaled_half(erfc_out, c1, ber_out, n);
 
+  // The sum stays sequential in subcarrier order (reference association).
   double mean_ber = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mean_ber += c1 * (0.5 * erfc_out[i]);
-  }
+  for (std::size_t i = 0; i < n; ++i) mean_ber += ber_out[i];
   return mean_ber / static_cast<double>(n);
 }
 

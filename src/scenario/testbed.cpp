@@ -263,7 +263,9 @@ WgttNetwork::WgttNetwork(Testbed& bed, WgttNetworkConfig cfg)
     : bed_(bed),
       cfg_(cfg),
       client_rx_(&bed.sched()),
-      server_rx_(&bed.sched()) {
+      server_rx_(&bed.sched()),
+      recorder_(sim::Context::current().flight_recorder),
+      health_(sim::Context::current().health) {
   const std::size_t n_aps = bed_.config().ap_x.size();
   std::vector<net::NodeId> ap_ids;
   for (std::size_t i = 0; i < n_aps; ++i) {
@@ -412,16 +414,14 @@ net::NodeId WgttNetwork::add_client(
       if (core::Deduplicator::needs_dedup(*pkt) &&
           dedup->is_duplicate(*pkt, bed_.sched().now())) {
         if (m_client_dedup_) m_client_dedup_->add();
-        // Resolved per delivery: the flight recorder is installed after the
-        // testbed is built, so a construction-time capture would be null.
-        if (auto* recorder = sim::Context::current().flight_recorder) {
-          recorder->drop(pkt->uid, bed_.sched().now(),
-                         net::Hop::kDedupSuppress, id,
-                         net::DropCause::kDuplicate,
-                         {{"ip_id", pkt->ip_id}});
+        if (recorder_) {
+          recorder_->drop(pkt->uid, bed_.sched().now(),
+                          net::Hop::kDedupSuppress, id,
+                          net::DropCause::kDuplicate,
+                          {{"ip_id", pkt->ip_id}});
         }
-        if (auto* health = sim::Context::current().health) {
-          if (net::flight_recorded(pkt->type)) health->packet_dropped();
+        if (health_ && net::flight_recorded(pkt->type)) {
+          health_->packet_dropped();
         }
         return;
       }
@@ -492,8 +492,8 @@ std::uint64_t WgttNetwork::client_duplicates_removed() const {
 void WgttNetwork::client_uplink(net::NodeId client, net::PacketPtr pkt) {
   mac::WifiDevice& dev = bed_.client_device(client);
   const bool fr = net::flight_recorded(pkt->type);
-  if (!dev.enqueue(dev.bssid(), std::move(pkt)) && fr) {
-    if (auto* health = sim::Context::current().health) health->packet_dropped();
+  if (!dev.enqueue(dev.bssid(), std::move(pkt)) && fr && health_) {
+    health_->packet_dropped();
   }
 }
 
@@ -599,11 +599,9 @@ void WgttNetwork::wire_web_browse(apps::WebBrowseApp& app,
             bed_.sched().schedule(bed_.config().wan_latency, [&app, r]() {
               app.on_request(r);
             });
-          } else if (net::flight_recorded(p->type)) {
+          } else if (health_ && net::flight_recorded(p->type)) {
             // Unparseable payload: the ledger instance terminates here.
-            if (auto* health = sim::Context::current().health) {
-              health->packet_retired();
-            }
+            health_->packet_retired();
           }
         });
   }
@@ -617,7 +615,8 @@ BaselineNetwork::BaselineNetwork(Testbed& bed, BaselineNetworkConfig cfg)
     : bed_(bed),
       cfg_(cfg),
       client_rx_(&bed.sched()),
-      server_rx_(&bed.sched()) {
+      server_rx_(&bed.sched()),
+      health_(sim::Context::current().health) {
   distribution_ = std::make_unique<baseline::Distribution>(
       bed_.sched(), bed_.backhaul(), cfg_.distribution_relearn);
   distribution_->on_uplink = [this](net::PacketPtr pkt) {
@@ -662,15 +661,11 @@ void BaselineNetwork::client_uplink(net::NodeId client, net::PacketPtr pkt) {
   mac::WifiDevice& dev = bed_.client_device(client);
   const bool fr = net::flight_recorded(pkt->type);
   if (dev.bssid() == 0) {  // not associated yet
-    if (fr) {
-      if (auto* health = sim::Context::current().health) {
-        health->packet_dropped();
-      }
-    }
+    if (fr && health_) health_->packet_dropped();
     return;
   }
-  if (!dev.enqueue(dev.bssid(), std::move(pkt)) && fr) {
-    if (auto* health = sim::Context::current().health) health->packet_dropped();
+  if (!dev.enqueue(dev.bssid(), std::move(pkt)) && fr && health_) {
+    health_->packet_dropped();
   }
 }
 
@@ -776,11 +771,9 @@ void BaselineNetwork::wire_web_browse(apps::WebBrowseApp& app,
             bed_.sched().schedule(bed_.config().wan_latency, [&app, r]() {
               app.on_request(r);
             });
-          } else if (net::flight_recorded(p->type)) {
+          } else if (health_ && net::flight_recorded(p->type)) {
             // Unparseable payload: the ledger instance terminates here.
-            if (auto* health = sim::Context::current().health) {
-              health->packet_retired();
-            }
+            health_->packet_retired();
           }
         });
   }

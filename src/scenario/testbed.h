@@ -388,6 +388,8 @@ class WgttNetwork {
   /// intentionally duplicates: make_before_break / bicast overlap windows).
   std::map<net::NodeId, std::shared_ptr<core::Deduplicator>> client_dedups_;
   metrics::Counter* m_client_dedup_ = nullptr;
+  net::FlightRecorder* recorder_ = nullptr;
+  obs::HealthEngine* health_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -433,6 +435,7 @@ class BaselineNetwork {
   std::map<net::NodeId, std::unique_ptr<baseline::RoamingClient>> roaming_;
   FlowRouter client_rx_;
   FlowRouter server_rx_;
+  obs::HealthEngine* health_ = nullptr;
 };
 
 }  // namespace wgtt::scenario

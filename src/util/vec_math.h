@@ -1,10 +1,11 @@
-// Vectorized elementary-function kernels for the hot paths.
+// Vectorized kernels for the hot paths.
 //
-// These wrap glibc's libmvec AVX2 variants (_ZGVdN4v_exp10 & friends) behind
-// plain double-array entry points.  They are the "optimized" side of the
-// reference-vs-optimized seam (DESIGN.md): results are NOT bitwise identical
-// to scalar libm — libmvec documents a worst-case error of 4 ulp per element
-// — so every consumer keeps the original scalar implementation alive
+// The elementary-function kernels wrap glibc's libmvec AVX2 variants
+// (_ZGVdN4v_exp10 & friends) behind plain double-array entry points.  They
+// are the "optimized" side of the reference-vs-optimized seam (DESIGN.md):
+// results are NOT bitwise identical to scalar libm — libmvec documents a
+// worst-case error of 4 ulp per element — so every consumer keeps the
+// original scalar implementation alive
 // (ReferenceFading, phy::reference_effective_snr_db) and the differential
 // suite (tests/fading_diff_test.cpp) bounds the divergence.
 //
@@ -38,5 +39,31 @@ void erfc(const double* x, double* out, std::size_t n);
 /// cos_out[i] = cos(x[i]); sin_out[i] = sin(x[i]), <= ~4 ulp.
 void sin_cos(const double* x, double* cos_out, double* sin_out,
              std::size_t n);
+
+// ---- Exact kernels --------------------------------------------------------
+// Unlike the transcendentals above, these are bitwise equal to their scalar
+// formulations: each lane performs the same element-wise IEEE add, sub, mul,
+// div, sqrt and max, in the same order, with no reassociation and no FMA
+// (only util/vec_math.cpp is built with -mavx2, and never with -mfma).  They
+// spend none of the seam's ULP budget.  Like the kernels above they are
+// called only when available(); callers keep the scalar formulation for the
+// other case.
+
+/// Complex multiply-accumulate of per-tap gains against SoA twiddle rows.
+/// `gains` and `out` hold (re, im) pairs, the std::complex<double> layout.
+/// For each k < n, starting from +0 + 0i and for t = 0..taps-1 in order,
+/// with (gr, gi) = gains[t] and (wr, wi) = (w_re[t*n+k], w_im[t*n+k]):
+///   re = re + (gr*wr - gi*wi);  im = im + (gr*wi + gi*wr)
+/// These are the operations `out[k] += g * w` performs on finite inputs.
+void complex_gain_sum(const double* gains, std::size_t taps,
+                      const double* w_re, const double* w_im, std::size_t n,
+                      double* out);
+
+/// out[i] = sqrt(scale * std::max(x[i], 0.0) / denom) / divisor.
+void clamped_sqrt_ratio(const double* x, double scale, double denom,
+                        double divisor, double* out, std::size_t n);
+
+/// out[i] = c * (0.5 * x[i]).
+void scaled_half(const double* x, double c, double* out, std::size_t n);
 
 }  // namespace wgtt::vecm

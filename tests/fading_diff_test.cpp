@@ -7,9 +7,11 @@
 // suite pins the equivalence contract between the two sides:
 //
 //  * Bitwise identity where the optimization only moves work around
-//    (twiddle caching, SoA layout, memoization): enforced whenever the
-//    vectorized kernels are unavailable, since every expression then runs
-//    on scalar libm in the reference association.
+//    (the shared twiddle table, SoA layout, memoization) or does the same
+//    IEEE operations in SIMD lanes (the exact vecm kernels, compared by
+//    memcmp against their scalar formulations), and for the whole response
+//    whenever the libmvec kernels are unavailable, since every expression
+//    then runs on scalar libm in the reference association.
 //  * ULP-bounded equality where the vectorized libmvec kernels are in play
 //    (vecm::available()): the per-element transcendentals are documented
 //    within 4 ulp of scalar libm, every surrounding sum keeps the reference
@@ -23,16 +25,23 @@
 // responses across randomized configs (order/count drift in any draw that
 // matters shows up as an O(1) mismatch), and a hand-replicated draw
 // sequence must predict the single-tap response exactly.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "channel/antenna.h"
+#include "channel/channel_model.h"
 #include "channel/fading.h"
+#include "channel/mobility.h"
 #include "channel/reference_fading.h"
 #include "phy/esnr.h"
 #include "util/rng.h"
@@ -62,6 +71,12 @@ double response_error_bound(const FadingProcess& p, int sinusoids_per_tap) {
       (static_cast<double>(sinusoids_per_tap) + 2.0);
   return kSafety * kKernelUlp * std::numeric_limits<double>::epsilon() *
          summands;
+}
+
+// Bitwise equality of two byte ranges; empty ranges (whose vectors may
+// hold null data) are equal without calling memcmp.
+bool same_bits(const void* a, const void* b, std::size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
 }
 
 FadingConfig random_config(Rng& rng) {
@@ -218,16 +233,16 @@ TEST(FadingDiff, RngDrawOrderPinnedBySingleTapPrediction) {
   EXPECT_EQ(h[0].imag(), expected.imag());
 }
 
-// Same seed must give the same realisation through both classes even when
-// the twiddle-cache capacity is exhausted (the inline-fallback loop).
-TEST(FadingDiff, TwiddleCacheOverflowFallsBackToSameMath) {
+// Same seed must give the same realisation through both classes on grids
+// the shared HT20 twiddle table does not cover (the inline-twiddle loop).
+TEST(FadingDiff, NonHt20GridsFallBackToSameMath) {
   FadingConfig cfg;
   cfg.sinusoids_per_tap = 4;
   const FadingProcess opt(cfg, Rng(77).fork(1));
   const ReferenceFading ref(cfg, Rng(77).fork(1));
   const double bound = response_error_bound(opt, cfg.sinusoids_per_tap);
   Rng grid_rng(5150);
-  // More than kMaxCachedGrids (8) distinct grids forces the uncached path.
+  // Many distinct irregular grids, each computing its twiddles inline.
   for (int g = 0; g < 12; ++g) {
     std::vector<double> grid(4);
     for (double& f : grid) f = grid_rng.uniform(-15e6, 15e6);
@@ -238,6 +253,189 @@ TEST(FadingDiff, TwiddleCacheOverflowFallsBackToSameMath) {
     for (std::size_t k = 0; k < grid.size(); ++k) {
       ASSERT_LE(std::abs(h_opt[k] - h_ref[k]), bound) << "grid " << g;
     }
+  }
+}
+
+// The HT20 grid reads the shared twiddle table through the exact
+// multiply-accumulate kernel; a copy of the same grid in other storage
+// takes the inline-twiddle std::complex loop.  The two must agree bit for
+// bit, at every distance, whether or not the vector kernels are in play.
+TEST(FadingDiff, SharedTwiddleTableBitwiseEqualsInlineTwiddles) {
+  Rng rng(0x7AB1Eu);
+  for (int c = 0; c < 20; ++c) {
+    const FadingConfig cfg = c == 0 ? FadingConfig{} : random_config(rng);
+    const FadingProcess p(cfg, Rng(rng.next_u64()));
+    const auto ht20 = channel::ht20_subcarrier_offsets_hz();
+    const std::vector<double> copy(ht20.begin(), ht20.end());
+    std::array<std::complex<double>, channel::kNumSubcarriers> h_table;
+    std::array<std::complex<double>, channel::kNumSubcarriers> h_inline;
+    for (int rep = 0; rep < 5; ++rep) {
+      const double d = rep == 0 ? 0.0 : rng.uniform(0.0, 500.0);
+      p.response(d, ht20, h_table);
+      p.response(d, copy, h_inline);
+      ASSERT_TRUE(same_bits(h_table.data(), h_inline.data(), sizeof(h_table)))
+          << "config " << c << " distance " << d;
+    }
+  }
+}
+
+// Every link of a ChannelModel reads one HT20 twiddle table: building the
+// channel builds no table, the first CSI query builds it once, and each of
+// the 64 links of an 8 AP x 8 client deployment holds that same table.
+TEST(FadingDiff, ChannelModelSharesOneTwiddleTableAcrossLinks) {
+  channel::ChannelModel model(channel::RadioConfig{}, channel::PathLossConfig{},
+                              channel::ShadowingConfig{}, FadingConfig{},
+                              Rng(2024));
+  constexpr int kAps = 8;
+  constexpr int kClients = 8;
+  for (int a = 0; a < kAps; ++a) {
+    channel::ApSite site;
+    site.id = static_cast<net::NodeId>(a + 1);
+    site.position = {15.0 * a, 10.0, 5.0};
+    site.boresight = channel::Vec3{0, -10, -3.5}.normalized();
+    site.antenna = std::make_shared<channel::ParabolicAntenna>();
+    model.add_ap(site);
+  }
+  for (int c = 0; c < kClients; ++c) {
+    model.add_client(net::kClientBase + static_cast<net::NodeId>(c),
+                     std::make_shared<channel::LinearMobility>(
+                         channel::Vec3{-5.0 * c, 0, 1.5},
+                         channel::Vec3{10.0, 0, 0}));
+  }
+  const auto& table = model.ht20_twiddles();
+  EXPECT_FALSE(table->built());
+  EXPECT_EQ(table.use_count(), 1);
+  for (net::NodeId ap : model.ap_ids()) {
+    for (int c = 0; c < kClients; ++c) {
+      (void)model.downlink_csi(
+          ap, net::kClientBase + static_cast<net::NodeId>(c), Time::ms(40));
+    }
+  }
+  EXPECT_TRUE(table->built());
+  EXPECT_EQ(table.use_count(), 1 + kAps * kClients);
+  EXPECT_EQ(table->tap_count(), FadingConfig{}.taps.size());
+}
+
+// ---------------------------------------------------------------------------
+// Exact vecm kernels against the scalar formulations they replace, bitwise
+// (memcmp), at every length 0..64 so both the 4-wide body and every tail
+// length run.
+// ---------------------------------------------------------------------------
+
+// Finite values spanning signed zeros, denormals and large magnitudes whose
+// products stay finite (the complex product's finite-input path).
+double finite_special(Rng& rng) {
+  switch (rng.uniform_int(0, 7)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return std::numeric_limits<double>::denorm_min() *
+                   static_cast<double>(rng.uniform_int(1, 1000));
+    case 3: return -std::numeric_limits<double>::min() * rng.uniform(0.0, 1.0);
+    case 4: return rng.uniform(-1e150, 1e150);
+    default: return rng.uniform(-2.0, 2.0);
+  }
+}
+
+// Any double, including NaN, infinities and the values above.
+double any_special(Rng& rng) {
+  switch (rng.uniform_int(0, 9)) {
+    case 0: return std::numeric_limits<double>::quiet_NaN();
+    case 1: return -std::numeric_limits<double>::quiet_NaN();
+    case 2: return std::numeric_limits<double>::infinity();
+    case 3: return -std::numeric_limits<double>::infinity();
+    case 4: return std::numeric_limits<double>::max() * rng.uniform(-1.0, 1.0);
+    default: return finite_special(rng);
+  }
+}
+
+TEST(ExactKernelDiff, ComplexGainSumBitwiseEqualsComplexLoop) {
+  Rng rng(0xC0FFEEu);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    for (std::size_t taps : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                             std::size_t{8}}) {
+      std::vector<std::complex<double>> gains(taps);
+      for (auto& g : gains) g = {finite_special(rng), finite_special(rng)};
+      std::vector<double> w_re(taps * n), w_im(taps * n);
+      for (double& w : w_re) w = finite_special(rng);
+      for (double& w : w_im) w = finite_special(rng);
+
+      // The retained formulation: std::complex multiply, then +=.
+      std::vector<std::complex<double>> expected(n, {0.0, 0.0});
+      for (std::size_t t = 0; t < taps; ++t) {
+        for (std::size_t k = 0; k < n; ++k) {
+          expected[k] += gains[t] * std::complex<double>{w_re[t * n + k],
+                                                         w_im[t * n + k]};
+        }
+      }
+      std::vector<std::complex<double>> got(n, {-1.0, -1.0});
+      vecm::complex_gain_sum(reinterpret_cast<const double*>(gains.data()),
+                             taps, w_re.data(), w_im.data(), n,
+                             reinterpret_cast<double*>(got.data()));
+      ASSERT_TRUE(same_bits(expected.data(), got.data(),
+                            n * sizeof(std::complex<double>)))
+          << "n=" << n << " taps=" << taps;
+    }
+  }
+}
+
+TEST(ExactKernelDiff, ClampedSqrtRatioBitwiseEqualsArgumentLoop) {
+  // The (scale, denom) pairs of BPSK, QPSK, 16-QAM and 64-QAM.
+  const std::array<std::pair<double, double>, 4> params{
+      {{2.0, 1.0}, {1.0, 1.0}, {3.0, 15.0}, {3.0, 63.0}}};
+  const double sqrt2 = std::sqrt(2.0);
+  Rng rng(0x5A7u);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    for (const auto& [scale, denom] : params) {
+      std::vector<double> x(n);
+      for (double& v : x) {
+        v = rng.bernoulli(0.5) ? any_special(rng) : rng.uniform(-1e3, 1e6);
+      }
+      // The retained argument loop of the vectorized mean-BER.
+      std::vector<double> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double snr = std::max(x[i], 0.0);
+        expected[i] = std::sqrt(scale * snr / denom) / sqrt2;
+      }
+      std::vector<double> got(n, -1.0);
+      vecm::clamped_sqrt_ratio(x.data(), scale, denom, sqrt2, got.data(), n);
+      ASSERT_TRUE(same_bits(expected.data(), got.data(), n * sizeof(double)))
+          << "n=" << n << " scale=" << scale;
+    }
+  }
+}
+
+// std::max(x, 0.0) keeps x unless x < 0: NaN stays NaN (sign included) and
+// -0 stays -0, so sqrt yields NaN and -0 respectively.
+TEST(ExactKernelDiff, ClampedSqrtRatioKeepsMaxOperandOrder) {
+  const std::array<double, 4> x{std::numeric_limits<double>::quiet_NaN(),
+                                -std::numeric_limits<double>::quiet_NaN(),
+                                -0.0, -1.0};
+  std::array<double, 4> out{};
+  vecm::clamped_sqrt_ratio(x.data(), 1.0, 1.0, 1.0, out.data(), x.size());
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_TRUE(std::isnan(out[1]));
+  EXPECT_EQ(std::signbit(out[1]), std::signbit(std::max(x[1], 0.0)));
+  EXPECT_EQ(out[2], 0.0);
+  EXPECT_TRUE(std::signbit(out[2]));
+  EXPECT_EQ(out[3], 0.0);
+  EXPECT_FALSE(std::signbit(out[3]));
+}
+
+TEST(ExactKernelDiff, ScaledHalfBitwiseEqualsProductLoop) {
+  Rng rng(0x4A1Fu);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const double c = rng.bernoulli(0.2) ? any_special(rng)
+                                        : rng.uniform(0.0, 2.0);
+    std::vector<double> x(n);
+    for (double& v : x) {
+      v = rng.bernoulli(0.5) ? any_special(rng) : rng.uniform(0.0, 2.0);
+    }
+    std::vector<double> expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected[i] = c * (0.5 * x[i]);
+    std::vector<double> got(n, -1.0);
+    vecm::scaled_half(x.data(), c, got.data(), n);
+    ASSERT_TRUE(same_bits(expected.data(), got.data(), n * sizeof(double)))
+        << "n=" << n << " c=" << c;
   }
 }
 

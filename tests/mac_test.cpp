@@ -446,6 +446,90 @@ TEST(WifiDeviceTest, ExternalBlockAckRecoversExchange) {
   EXPECT_EQ(ap2.stats().mpdus_delivered, 1u);
 }
 
+// Several AP-mode radios of one shared BSSID all answer the client's uplink
+// frames, so every exchange runs the multi-AP response race (§5.3.2).  The
+// client's overlap window is widened to most of the jitter spread so the
+// capture-power comparison decides most races instead of a few.
+class MultiApWorld {
+ public:
+  static constexpr int kAps = 4;
+
+  MultiApWorld()
+      : channel(channel::RadioConfig{18.0, 20.0, 0.0, 20e6, 6.0, 2.462e9},
+                channel::PathLossConfig{}, channel::ShadowingConfig{},
+                channel::FadingConfig{}, Rng(7)),
+        medium(sched, channel),
+        ctx(sched, medium, channel, error_model, Rng(8)) {
+    for (int i = 0; i < kAps; ++i) {
+      channel::ApSite site;
+      site.id = static_cast<net::NodeId>(i + 1);
+      site.position = {-7.5 + 5.0 * i, 10.0, 5.0};
+      site.boresight = channel::Vec3{0, -10, -3.5}.normalized();
+      site.antenna = std::make_shared<channel::ParabolicAntenna>();
+      channel.add_ap(site);
+      mac::WifiDeviceConfig cfg;
+      cfg.is_ap = true;
+      cfg.bssid = 1;
+      aps.push_back(std::make_unique<WifiDevice>(ctx, site.id, cfg));
+    }
+    // A slow drive past the APs: the responders' relative powers change
+    // from frame to frame, so races go both ways.
+    channel.add_client(net::kClientBase,
+                       std::make_shared<channel::LinearMobility>(
+                           channel::Vec3{-10, 0, 1.5},
+                           channel::Vec3{4.0, 0, 0}));
+    mac::WifiDeviceConfig cl_cfg;
+    cl_cfg.bssid = 1;
+    cl_cfg.ack_overlap_us = 15.0;
+    client = std::make_unique<WifiDevice>(ctx, net::kClientBase, cl_cfg);
+  }
+
+  sim::Scheduler sched;
+  phy::ErrorModel error_model;
+  channel::ChannelModel channel;
+  Medium medium;
+  MacContext ctx;
+  std::vector<std::unique_ptr<WifiDevice>> aps;
+  std::unique_ptr<WifiDevice> client;
+};
+
+TEST(WifiDeviceTest, MultiApAckRaceOutcomesPinned) {
+  // Pins the ACK-race model end to end: the collision count, the BA
+  // outcomes, and the management-ACK results are exact functions of the
+  // seeds, so any change to which responder powers are compared, or to the
+  // instants they are sampled at, moves these numbers.
+  MultiApWorld w;
+  int mgmt_ok = 0;
+  int mgmt_failed = 0;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    w.sched.schedule_at(Time::ms(5 * static_cast<std::int64_t>(i)), [&w, i]() {
+      w.client->enqueue(1, data_pkt(net::kClientBase, net::kServerBase, i));
+    });
+  }
+  for (std::int64_t i = 0; i < 40; ++i) {
+    w.sched.schedule_at(Time::ms(50 * i + 2), [&]() {
+      net::Packet m;
+      m.type = net::PacketType::kMgmt;
+      m.src = net::kClientBase;
+      m.dst = 1;
+      m.size_bytes = 90;
+      w.client->send_management(1, net::make_packet(m), [&](bool ok) {
+        ++(ok ? mgmt_ok : mgmt_failed);
+      });
+    });
+  }
+  w.sched.run_until(Time::sec(2.2));
+  const DeviceStats& st = w.client->stats();
+  EXPECT_EQ(st.ack_collisions, 546u);
+  EXPECT_EQ(st.block_acks_lost, 447u);
+  EXPECT_EQ(st.aggregates_sent, 611u);
+  EXPECT_EQ(st.mpdus_sent, 1323u);
+  EXPECT_EQ(st.mpdus_delivered, 379u);
+  EXPECT_EQ(st.mpdus_dropped, 11u);
+  EXPECT_EQ(mgmt_ok, 35);
+  EXPECT_EQ(mgmt_failed, 5);
+}
+
 TEST(MediumTest, SerializesAudibleTransmitters) {
   MacWorld w;
   // Two clients close together must not overlap their transmissions.
