@@ -4,8 +4,9 @@
 // fading response, the ESNR kernel, the full CSI/selection stack, A-MPDU
 // assembly, packet allocation, and scheduler churn — plus the per-packet
 // AP/controller primitives (cyclic queue, uplink de-duplication, Minstrel
-// rate control), each in isolation, and leaves a BENCH_hotpath.json
-// behind in the same report schema the sweep benches use.  CI diffs it
+// rate control) and the observability streams' per-record append cost,
+// each in isolation, and leaves a BENCH_hotpath.json behind in the same
+// report schema the sweep benches use.  CI diffs it
 // against bench/baselines/hotpath.json with a hard `--budget-ms` ceiling,
 // so a reverted optimization (or an accidentally quadratic "improvement")
 // fails the perf gate even though every correctness test still passes.
@@ -35,12 +36,14 @@
 #include "core/dedup.h"
 #include "mac/airtime.h"
 #include "mac/ampdu.h"
+#include "net/flight_recorder.h"
 #include "net/packet.h"
 #include "phy/esnr.h"
 #include "phy/mcs.h"
 #include "phy/rate_control.h"
 #include "sim/context.h"
 #include "sim/scheduler.h"
+#include "util/causal.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -276,6 +279,37 @@ Row bench_minstrel(int reps) {
   });
 }
 
+// Stream emission: one flight-recorder hop record (uid, timestamp, node and
+// three integer args) appended to the packets document, the per-hop cost of
+// `--packets`.  A fresh recorder per batch keeps the document's growth in
+// the measured cost without carrying it from one batch to the next.
+Row bench_packet_record(int reps) {
+  const std::size_t iters = 200000;
+  return time_kernel("obs/packet_record", iters, reps, [&] {
+    net::FlightRecorder fr;
+    for (std::size_t i = 0; i < iters; ++i) {
+      const auto n = static_cast<std::int64_t>(i);
+      fr.record(i + 1, Time::ns(n * 1237), net::Hop::kMacTx, 7,
+                {{"ap", 3}, {"seq", n & 0xFFF}, {"mcs", n % 8}});
+    }
+    g_sink += static_cast<double>(fr.jsonl().size());
+  });
+}
+
+// Stream emission: one scheduler provenance edge appended to the causal
+// document, which `--causal` pays on every schedule().
+Row bench_causal_edge(int reps) {
+  const std::size_t iters = 300000;
+  return time_kernel("obs/causal_edge", iters, reps, [&] {
+    obs::CausalTracer causal;
+    for (std::size_t i = 0; i < iters; ++i) {
+      causal.edge(i + 2, i + 1 - i % 3,
+                  Time::ns(static_cast<std::int64_t>(i) * 811));
+    }
+    g_sink += static_cast<double>(causal.jsonl().size());
+  });
+}
+
 // --- Report --------------------------------------------------------------
 
 void write_report(const std::string& path, const std::vector<Row>& rows) {
@@ -346,6 +380,8 @@ int run(int argc, char** argv) {
   rows.push_back(bench_cyclic_queue(reps));
   rows.push_back(bench_dedup_lookup(reps));
   rows.push_back(bench_minstrel(reps));
+  rows.push_back(bench_packet_record(reps));
+  rows.push_back(bench_causal_edge(reps));
   write_report(path, rows);
   std::printf("(sink %.3g)\n", g_sink);
   return 0;

@@ -5,6 +5,8 @@
 // a machine-readable BENCH_<id>.json report behind.
 #pragma once
 
+#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,22 +41,51 @@ inline std::string bar(double value, double max, int width = 40) {
 }
 
 /// Resolve one bench output path, refusing to silently clobber a file that
-/// already exists unless the user passed --force.  Prints the resolved path
-/// so the bench summary names every artifact it is about to write.
+/// already exists unless the user passed --force, and exiting 2 when the
+/// path cannot be opened for writing (the file is written only after the
+/// simulation, too late to report).  Prints the resolved path so the bench
+/// summary names every artifact it is about to write.
 inline std::string claim_output_path(const std::string& path, bool force,
                                      const char* what) {
-  if (!force) {
-    if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-      std::fclose(f);
-      std::fprintf(stderr,
-                   "error: %s output %s already exists; pass --force to "
-                   "overwrite\n",
-                   what, path.c_str());
-      std::exit(1);
-    }
+  bool existed = false;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    std::fclose(f);
+    existed = true;
   }
+  if (existed && !force) {
+    std::fprintf(stderr,
+                 "error: %s output %s already exists; pass --force to "
+                 "overwrite\n",
+                 what, path.c_str());
+    std::exit(1);
+  }
+  // Append mode probes writability without truncating an existing file.
+  std::FILE* probe = std::fopen(path.c_str(), "ab");
+  if (probe == nullptr) {
+    std::fprintf(stderr, "error: cannot write %s output %s: %s\n", what,
+                 path.c_str(), std::strerror(errno));
+    std::exit(2);
+  }
+  std::fclose(probe);
+  if (!existed) std::remove(path.c_str());
   std::printf("%s: %s\n", what, path.c_str());
   return path;
+}
+
+/// Parse a positive integer flag value (decimal digits only, at most
+/// `max`); anything else exits 2 with a message naming the flag.
+inline std::uint64_t parse_positive(const char* flag, const char* val,
+                                    std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = val + std::strlen(val);
+  const auto [ptr, ec] = std::from_chars(val, end, v);
+  if (ec != std::errc() || ptr != end || v == 0 || v > max) {
+    std::fprintf(stderr,
+                 "error: %s expects a positive integer, got \"%s\"\n", flag,
+                 val);
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Command-line options shared by the sweep-shaped benches.  The optional
@@ -211,7 +242,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    const char* val = nullptr;
     // Output-artifact flags: "--flag=PATH" or "--flag [PATH]".
     bool matched_output = false;
     for (const OutputOpt& o : kOutputOpts) {
@@ -230,20 +260,29 @@ inline BenchArgs parse_args(int argc, char** argv) {
       }
     }
     if (matched_output) continue;
-    if (std::strncmp(a, "--jobs=", 7) == 0) {
-      val = a + 7;
-    } else if ((std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) &&
-               i + 1 < argc) {
-      val = argv[++i];
-    } else if (std::strcmp(a, "--health-strict") == 0) {
+    // Numeric flags: "--flag=N" or "--flag N"; a missing or non-positive
+    // value exits 2.
+    const auto numeric = [&](const char* flag) -> const char* {
+      const std::size_t len = std::strlen(flag);
+      if (std::strncmp(a, flag, len) == 0 && a[len] == '=') return a + len + 1;
+      if (std::strcmp(a, flag) != 0) return nullptr;
+      if (i + 1 >= argc) return "";
+      return argv[++i];
+    };
+    const char* jobs = numeric("--jobs");
+    if (jobs == nullptr) jobs = numeric("-j");
+    if (jobs != nullptr) {
+      args.sweep.jobs = parse_positive("--jobs", jobs, SIZE_MAX);
+      continue;
+    }
+    if (const char* n = numeric("--packet-sample")) {
+      args.packet_sample = static_cast<std::uint32_t>(
+          parse_positive("--packet-sample", n, UINT32_MAX));
+      continue;
+    }
+    if (std::strcmp(a, "--health-strict") == 0) {
       args.health_strict = true;
       args.health = true;
-    } else if (std::strncmp(a, "--packet-sample=", 16) == 0) {
-      const long v = std::strtol(a + 16, nullptr, 10);
-      if (v > 0) args.packet_sample = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(a, "--packet-sample") == 0 && i + 1 < argc) {
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v > 0) args.packet_sample = static_cast<std::uint32_t>(v);
     } else if (std::strncmp(a, "--faults=", 9) == 0) {
       args.faults = true;
       args.faults_spec = a + 9;
@@ -296,10 +335,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
           "sweeps\"), no SPEC = a seeded chaos plan\n"
           "  --force             overwrite existing output files\n");
       std::exit(0);
-    }
-    if (val != nullptr) {
-      const long v = std::strtol(val, nullptr, 10);
-      if (v > 0) args.sweep.jobs = static_cast<std::size_t>(v);
     }
   }
   return args;

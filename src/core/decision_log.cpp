@@ -1,8 +1,6 @@
 #include "core/decision_log.h"
 
-#include <cmath>
-
-#include "util/trace.h"
+#include "util/jsonl.h"
 
 namespace wgtt::core {
 
@@ -31,84 +29,56 @@ const char* to_string(DecisionReason r) {
   return "?";
 }
 
-namespace {
-
-// Fixed-point milli-units via integer arithmetic: byte-identical rendering of
-// doubles across platforms (printf %g is not).
-std::string format_milli(double v) {
-  const long long m = std::llround(v * 1000.0);
-  return std::to_string(m);
-}
-
-}  // namespace
-
 DecisionLog::DecisionLog(bool protocol_extensions) {
   // Schema header line.  Not a decision record (entries_ stays 0): it
   // declares the stream identity + version so consumers fail loudly on a
   // format they do not understand instead of mis-parsing it.  Only runs with
   // the hardened control plane armed advertise version 2 (which adds the
   // "resync" reason); fault-free logs stay byte-identical to version 1.
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.decisions\",\"version\":";
-  out_ += std::to_string(protocol_extensions ? kDecisionLogSchemaVersionResync
-                                             : kDecisionLogSchemaVersion);
-  out_ += "}\n";
+  JsonlLine(out_)
+      .raw("{\"kind\":\"schema\",\"stream\":\"wgtt.decisions\","
+           "\"version\":")
+      .num(protocol_extensions ? kDecisionLogSchemaVersionResync
+                               : kDecisionLogSchemaVersion)
+      .raw("}\n");
 }
 
 void DecisionLog::append(const DecisionRecord& rec) {
-  // Hand-rolled serialization (field order fixed by this code, numbers
-  // integer-formatted) rather than JsonWriter — every byte is deterministic.
-  std::string& s = out_;
-  s += "{\"t_us\":";
-  s += trace::Tracer::format_ts(rec.t);
-  s += ",\"client\":";
-  s += std::to_string(rec.client);
-  s += ",\"incumbent\":";
-  s += std::to_string(rec.incumbent);
-  s += ",\"chosen\":";
-  s += std::to_string(rec.chosen);
-  s += ",\"policy\":\"";
-  s += rec.policy;
-  s += "\",\"outcome\":\"";
-  s += to_string(rec.outcome);
-  s += "\",\"reason\":\"";
-  s += to_string(rec.reason);
-  s += "\",\"margin_mdb\":";
-  s += format_milli(rec.margin_db);
-  s += ",\"hyst_remaining_us\":";
-  s += trace::Tracer::format_ts(rec.hysteresis_remaining);
-  s += ",\"candidates\":[";
+  // Field order fixed by this code, numbers integer-formatted (ESNR medians
+  // and the margin as milli-dB) — every byte is deterministic.
+  JsonlLine line(out_);
+  line.raw("{\"t_us\":").ts(rec.t)
+      .raw(",\"client\":").num(rec.client)
+      .raw(",\"incumbent\":").num(rec.incumbent)
+      .raw(",\"chosen\":").num(rec.chosen)
+      .raw(",\"policy\":\"").raw(rec.policy)
+      .raw("\",\"outcome\":\"").raw(to_string(rec.outcome))
+      .raw("\",\"reason\":\"").raw(to_string(rec.reason))
+      .raw("\",\"margin_mdb\":").milli(rec.margin_db)
+      .raw(",\"hyst_remaining_us\":").ts(rec.hysteresis_remaining)
+      .raw(",\"candidates\":[");
   bool first = true;
   for (const DecisionCandidate& c : rec.candidates) {
-    if (!first) s += ',';
+    line.raw(first ? "{\"ap\":" : ",{\"ap\":").num(c.ap)
+        .raw(",\"median_mdb\":").milli(c.median_db)
+        .raw(",\"readings\":").num(c.readings)
+        .raw(",\"eligible\":").boolean(c.eligible)
+        .raw("}");
     first = false;
-    s += "{\"ap\":";
-    s += std::to_string(c.ap);
-    s += ",\"median_mdb\":";
-    s += format_milli(c.median_db);
-    s += ",\"readings\":";
-    s += std::to_string(c.readings);
-    s += ",\"eligible\":";
-    s += c.eligible ? "true" : "false";
-    s += '}';
   }
-  s += "]}\n";
+  line.raw("]}\n");
   ++entries_;
   if (rec.outcome == DecisionOutcome::kSwitch) ++switches_;
 }
 
 void DecisionLog::append_liveness(const LivenessRecord& rec) {
-  std::string& s = out_;
-  s += "{\"t_us\":";
-  s += trace::Tracer::format_ts(rec.t);
-  s += ",\"kind\":\"liveness\",\"ap\":";
-  s += std::to_string(rec.ap);
-  s += ",\"event\":\"";
-  s += rec.event;
-  s += "\",\"flaps\":";
-  s += std::to_string(rec.flaps);
-  s += ",\"quarantine_us\":";
-  s += trace::Tracer::format_ts(rec.quarantine);
-  s += "}\n";
+  JsonlLine(out_)
+      .raw("{\"t_us\":").ts(rec.t)
+      .raw(",\"kind\":\"liveness\",\"ap\":").num(rec.ap)
+      .raw(",\"event\":\"").raw(rec.event)
+      .raw("\",\"flaps\":").num(rec.flaps)
+      .raw(",\"quarantine_us\":").ts(rec.quarantine)
+      .raw("}\n");
   ++liveness_entries_;
 }
 

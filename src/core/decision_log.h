@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -113,6 +114,9 @@ class DecisionLog {
   std::uint64_t switches() const { return switches_; }
   /// The accumulated JSONL document (one '\n'-terminated object per line).
   const std::string& jsonl() const { return out_; }
+  /// Moves the document out (Testbed::finish() has written its file by
+  /// then); nothing may be appended afterwards.
+  std::string take_jsonl() { return std::move(out_); }
 
  private:
   std::string out_;

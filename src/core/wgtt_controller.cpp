@@ -376,7 +376,9 @@ void WgttController::log_decision(net::NodeId client, const ClientState& st,
                                   Time now, DecisionOutcome outcome,
                                   DecisionReason reason, net::NodeId chosen,
                                   Time hysteresis_remaining) {
-  DecisionRecord rec;
+  // One record reused across calls, so the candidate list keeps its
+  // capacity; every field is overwritten below.
+  DecisionRecord& rec = decision_scratch_;
   rec.t = now;
   rec.client = client;
   rec.incumbent = st.active_ap;
@@ -386,6 +388,7 @@ void WgttController::log_decision(net::NodeId client, const ClientState& st,
   rec.reason = reason;
   rec.margin_db = cfg_.switch_margin_db;
   rec.hysteresis_remaining = hysteresis_remaining;
+  rec.candidates.clear();
   if (st.selector) {
     // aps_in_range iterates the selector's NodeId-ordered window map, so the
     // candidate list is sorted and the serialization deterministic.

@@ -324,6 +324,7 @@ class WgttController {
   metrics::Counter* m_resyncs_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   DecisionLog* decision_log_ = nullptr;
+  DecisionRecord decision_scratch_;  // log_decision's reused record
   net::FlightRecorder* recorder_ = nullptr;
   obs::CausalTracer* causal_ = nullptr;
   obs::HealthEngine* health_ = nullptr;

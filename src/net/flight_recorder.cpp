@@ -1,7 +1,7 @@
 #include "net/flight_recorder.h"
 
+#include "util/jsonl.h"
 #include "util/rng.h"
-#include "util/trace.h"
 
 namespace wgtt::net {
 
@@ -56,9 +56,10 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig cfg) : cfg_(cfg) {
   // declares the stream identity + version so consumers (wgtt-report, soak
   // baselines) fail loudly on a format they do not understand instead of
   // mis-parsing it.
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.packets\",\"version\":";
-  out_ += std::to_string(kPacketLogSchemaVersion);
-  out_ += "}\n";
+  JsonlLine(out_)
+      .raw("{\"kind\":\"schema\",\"stream\":\"wgtt.packets\",\"version\":")
+      .num(kPacketLogSchemaVersion)
+      .raw("}\n");
 }
 
 bool FlightRecorder::sampled(std::uint64_t uid) const {
@@ -80,29 +81,14 @@ void FlightRecorder::append(std::uint64_t uid, Time t, Hop hop, NodeId node,
                             std::initializer_list<FlightArg> args,
                             const char* cause) {
   if (!sampled(uid)) return;
-  // Hand-rolled serialization with a fixed field order and integer-only
-  // number formatting (the decision log's recipe) — every byte deterministic.
-  std::string& s = out_;
-  s += "{\"uid\":";
-  s += std::to_string(uid);
-  s += ",\"t_us\":";
-  s += trace::Tracer::format_ts(t);
-  s += ",\"hop\":\"";
-  s += to_string(hop);
-  s += "\",\"node\":";
-  s += std::to_string(node);
+  JsonlLine line(out_);
+  line.raw("{\"uid\":").num(uid).raw(",\"t_us\":").ts(t).raw(",\"hop\":\"")
+      .raw(to_string(hop)).raw("\",\"node\":").num(node);
   for (const FlightArg& a : args) {
-    s += ",\"";
-    s += a.key;
-    s += "\":";
-    s += std::to_string(a.value);
+    line.raw(",\"").raw(a.key).raw("\":").num(a.value);
   }
-  if (cause != nullptr) {
-    s += ",\"cause\":\"";
-    s += cause;
-    s += '"';
-  }
-  s += "}\n";
+  if (cause != nullptr) line.raw(",\"cause\":\"").raw(cause).raw("\"");
+  line.raw("}\n");
   ++records_;
 }
 

@@ -11,9 +11,10 @@
 // stamped with the simulated clock and the acting node id, so a packet's
 // records line up with trace spans and decision-log entries by t_us.
 //
-// One JSON object per line, hand-serialized with a fixed field order and
-// pure-integer timestamp formatting (the tracer's), so a fixed-seed run
-// emits byte-identical output on any platform, any thread count.
+// One JSON object per line, formatted by the shared JsonlLine
+// (util/jsonl.h) with a fixed field order and pure-integer timestamps, so a
+// fixed-seed run emits byte-identical output on any platform, any thread
+// count.
 //
 // A FlightRecorder is owned by one Testbed and installed in its
 // sim::Context like the other per-run services; components cache the
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "net/packet.h"
 #include "util/time.h"
@@ -139,6 +141,9 @@ class FlightRecorder {
   std::size_t records() const { return records_; }
   /// The accumulated JSONL document (one '\n'-terminated object per line).
   const std::string& jsonl() const { return out_; }
+  /// Moves the document out (Testbed::finish() has written its file by
+  /// then); nothing may be appended afterwards.
+  std::string take_jsonl() { return std::move(out_); }
   const FlightRecorderConfig& config() const { return cfg_; }
 
  private:

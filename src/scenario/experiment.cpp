@@ -263,6 +263,9 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
   bed.sched().run_until(duration);
 
   // --- collect ---------------------------------------------------------
+  // Finalizes health and writes the output files, so the stream documents
+  // can be moved (not copied) into the result below.
+  bed.finish();
   DriveResult result;
   result.measured_duration = duration - cfg.app_start;
   result.medium_utilization = bed.medium().utilization();
@@ -271,24 +274,21 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
   if (const TelemetrySampler* tel = bed.telemetry()) {
     result.telemetry = tel->table();
   }
-  if (const core::DecisionLog* dlog = bed.decision_log()) {
-    result.decision_jsonl = dlog->jsonl();
+  if (core::DecisionLog* dlog = bed.decision_log()) {
+    result.decision_jsonl = dlog->take_jsonl();
     result.decision_records = dlog->entries();
     result.decision_switch_records = dlog->switches();
   }
   if (net::FlightRecorder* fr = bed.flight_recorder()) {
-    result.packet_jsonl = fr->jsonl();
+    result.packet_jsonl = fr->take_jsonl();
     result.packet_records = fr->records();
   }
-  if (const obs::CausalTracer* causal = bed.causal()) {
-    result.causal_jsonl = causal->jsonl();
+  if (obs::CausalTracer* causal = bed.causal()) {
+    result.causal_jsonl = causal->take_jsonl();
     result.causal_records = causal->records();
   }
   if (obs::HealthEngine* health = bed.health()) {
-    // Idempotent: the Testbed dtor's finalize becomes a no-op, but still
-    // writes cfg.testbed.health_path with the summary included.
-    health->finalize(bed.sched().now());
-    result.health_jsonl = health->jsonl();
+    result.health_jsonl = health->take_jsonl();
     result.health_windows = health->windows_closed();
     result.health_checks = health->checks();
     result.health_violations = health->violations().size();

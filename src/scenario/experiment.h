@@ -117,8 +117,7 @@ struct DriveResult {
   /// block.
   prof::ProfileSnapshot profile;
   /// Runtime health stream (JSONL; empty unless testbed.enable_health /
-  /// health_path is set).  run_drive finalizes the engine before collecting
-  /// so the summary line is included; the Testbed still writes the file.
+  /// health_path is set), summary line included.
   std::string health_jsonl;
   std::uint64_t health_windows = 0;
   std::uint64_t health_checks = 0;

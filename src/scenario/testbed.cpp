@@ -133,26 +133,30 @@ void Testbed::health_tick() {
   sched_.schedule(cfg_.health_window, [this]() { health_tick(); });
 }
 
-Testbed::~Testbed() {
-  if (tracer_) write_text_file(cfg_.trace_path, tracer_->finish());
-  if (telemetry_ && !cfg_.telemetry_path.empty()) {
-    write_text_file(cfg_.telemetry_path, telemetry_->to_csv());
-  }
-  if (decision_log_ && !cfg_.decision_log_path.empty()) {
-    write_text_file(cfg_.decision_log_path, decision_log_->jsonl());
-  }
-  if (flight_recorder_ && !cfg_.packet_log_path.empty()) {
-    write_text_file(cfg_.packet_log_path, flight_recorder_->jsonl());
-  }
-  if (causal_tracer_ && !cfg_.causal_path.empty()) {
-    write_text_file(cfg_.causal_path, causal_tracer_->jsonl());
-  }
-  if (health_engine_) {
-    health_engine_->finalize(sched_.now());
-    if (!cfg_.health_path.empty()) {
-      write_text_file(cfg_.health_path, health_engine_->jsonl());
+bool Testbed::finish() {
+  if (finished_) return files_written_;
+  finished_ = true;
+  if (health_engine_) health_engine_->finalize(sched_.now());
+  const auto write = [this](const std::string& path, std::string_view doc) {
+    if (path.empty()) return;
+    if (!write_text_file(path, doc)) {
+      files_written_ = false;
+      WGTT_LOG(kError, "testbed", "could not write output file " << path);
     }
+  };
+  if (tracer_) write(cfg_.trace_path, tracer_->finish());
+  if (telemetry_ && !cfg_.telemetry_path.empty()) {
+    write(cfg_.telemetry_path, telemetry_->to_csv());
   }
+  if (decision_log_) write(cfg_.decision_log_path, decision_log_->jsonl());
+  if (flight_recorder_) write(cfg_.packet_log_path, flight_recorder_->jsonl());
+  if (causal_tracer_) write(cfg_.causal_path, causal_tracer_->jsonl());
+  if (health_engine_) write(cfg_.health_path, health_engine_->jsonl());
+  return files_written_;
+}
+
+Testbed::~Testbed() {
+  finish();
   // fault_injector_ is destroyed before context_; withdraw it first.
   context_.set_fault_injector(nullptr);
 }

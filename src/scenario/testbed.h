@@ -163,7 +163,7 @@ struct TestbedConfig {
 class Testbed {
  public:
   explicit Testbed(TestbedConfig cfg = {});
-  /// Flushes the trace (if tracing) to cfg.trace_path before teardown.
+  /// Calls finish() if it has not run.
   ~Testbed();
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
@@ -192,6 +192,14 @@ class Testbed {
   obs::CausalTracer* causal() { return causal_tracer_.get(); }
   /// Per-section host self-time; empty when profiling is disabled.
   prof::ProfileSnapshot profile_snapshot() const;
+
+  /// Ends the run's observability, once: finalizes health, then writes
+  /// every configured output file (a failed write is logged at error
+  /// level).  Returns false if any write failed; a repeated call does
+  /// nothing and returns the first call's result.  Afterwards the streams'
+  /// documents may be moved out with their take_jsonl(); record nothing
+  /// more.
+  bool finish();
 
   /// Create an AP radio (called by the network overlays).
   mac::WifiDevice& create_ap_device(net::NodeId id,
@@ -247,6 +255,8 @@ class Testbed {
   std::vector<net::NodeId> client_ids_;
   std::map<net::NodeId, std::unique_ptr<mac::WifiDevice>> devices_;
   net::NodeId next_client_ = net::kClientBase;
+  bool finished_ = false;
+  bool files_written_ = true;
 };
 
 // ---------------------------------------------------------------------------

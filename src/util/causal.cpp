@@ -1,16 +1,17 @@
 #include "util/causal.h"
 
 #include "sim/scheduler.h"
+#include "util/jsonl.h"
 #include "util/rng.h"
-#include "util/trace.h"
 
 namespace wgtt::obs {
 
 CausalTracer::CausalTracer(CausalTracerConfig cfg) : cfg_(cfg) {
   out_.reserve(1 << 20);
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.causal\",\"version\":";
-  out_ += std::to_string(kCausalSchemaVersion);
-  out_ += "}\n";
+  JsonlLine(out_)
+      .raw("{\"kind\":\"schema\",\"stream\":\"wgtt.causal\",\"version\":")
+      .num(kCausalSchemaVersion)
+      .raw("}\n");
 }
 
 bool CausalTracer::sampled(std::uint64_t uid) const {
@@ -22,14 +23,8 @@ std::uint64_t CausalTracer::current_event() const {
 }
 
 void CausalTracer::edge(std::uint64_t child, std::uint64_t parent, Time when) {
-  std::string& s = out_;
-  s += "{\"ev\":";
-  s += std::to_string(child);
-  s += ",\"parent\":";
-  s += std::to_string(parent);
-  s += ",\"at_us\":";
-  s += trace::Tracer::format_ts(when);
-  s += "}\n";
+  JsonlLine(out_).raw("{\"ev\":").num(child).raw(",\"parent\":").num(parent)
+      .raw(",\"at_us\":").ts(when).raw("}\n");
   ++records_;
 }
 
@@ -41,20 +36,13 @@ void CausalTracer::annotate(const char* site,
     ev = sched_->current_event();
     t = sched_->now();
   }
-  std::string& s = out_;
-  s += "{\"ev\":";
-  s += std::to_string(ev);
-  s += ",\"site\":\"";
-  s += site;
-  s += "\",\"t_us\":";
-  s += trace::Tracer::format_ts(t);
+  JsonlLine line(out_);
+  line.raw("{\"ev\":").num(ev).raw(",\"site\":\"").raw(site)
+      .raw("\",\"t_us\":").ts(t);
   for (const CausalArg& a : args) {
-    s += ",\"";
-    s += a.key;
-    s += "\":";
-    s += std::to_string(a.value);
+    line.raw(",\"").raw(a.key).raw("\":").num(a.value);
   }
-  s += "}\n";
+  line.raw("}\n");
   ++records_;
 }
 

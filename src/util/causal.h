@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "util/time.h"
 
@@ -103,6 +104,9 @@ class CausalTracer {
   std::size_t records() const { return records_; }
   /// The accumulated JSONL document (one '\n'-terminated object per line).
   const std::string& jsonl() const { return out_; }
+  /// Moves the document out (Testbed::finish() has written its file by
+  /// then); nothing may be appended afterwards.
+  std::string take_jsonl() { return std::move(out_); }
   const CausalTracerConfig& config() const { return cfg_; }
 
  private:

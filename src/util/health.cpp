@@ -1,9 +1,8 @@
 #include "util/health.h"
 
-#include <cmath>
 #include <cstdio>
 
-#include "util/trace.h"
+#include "util/jsonl.h"
 
 #ifdef __linux__
 #include <unistd.h>
@@ -12,28 +11,6 @@
 namespace wgtt::obs {
 
 namespace {
-
-/// Fixed-point rendering with exactly 3 decimals, computed with integer
-/// arithmetic (llround of the scaled value) — deterministic across
-/// platforms, unlike printf's shortest-round-trip formats.
-std::string format_fixed3(double v) {
-  if (!std::isfinite(v)) return "0.000";
-  const bool neg = v < 0.0;
-  const long long scaled = std::llround(std::fabs(v) * 1000.0);
-  const long long whole = scaled / 1000;
-  const long long frac = scaled % 1000;
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%s%lld.%03lld", neg ? "-" : "", whole,
-                frac);
-  return buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
 
 /// Resident set size in KiB from /proc/self/statm, or -1 off Linux.
 std::int64_t read_rss_kb() {
@@ -58,10 +35,11 @@ HealthEngine::HealthEngine(HealthConfig cfg,
     : cfg_(cfg), metrics_(metrics) {
   if (cfg_.ring_capacity == 0) cfg_.ring_capacity = 1;
   out_.reserve(1 << 14);
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.health\",\"version\":";
-  out_ += std::to_string(cfg_.fault_aware ? kHealthSchemaVersionFaultAware
-                                          : kHealthSchemaVersion);
-  out_ += "}\n";
+  JsonlLine(out_)
+      .raw("{\"kind\":\"schema\",\"stream\":\"wgtt.health\",\"version\":")
+      .num(cfg_.fault_aware ? kHealthSchemaVersionFaultAware
+                            : kHealthSchemaVersion)
+      .raw("}\n");
 }
 
 void HealthEngine::client_stranded(std::uint32_t client, bool stranded,
@@ -73,30 +51,19 @@ void HealthEngine::client_stranded(std::uint32_t client, bool stranded,
     return;
   }
   if (it == open_outages_.end()) return;
-  OutageRecord rec{client, it->second, t, false};
+  append_outage({client, it->second, t, false});
   open_outages_.erase(it);
-  out_ += "{\"kind\":\"outage\",\"client\":";
-  out_ += std::to_string(rec.client);
-  out_ += ",\"begin_us\":";
-  out_ += trace::Tracer::format_ts(rec.begin);
-  out_ += ",\"end_us\":";
-  out_ += trace::Tracer::format_ts(rec.end);
-  out_ += ",\"open\":false}\n";
-  outages_.push_back(rec);
 }
 
 void HealthEngine::fault_mark(Time t, const char* kind, std::uint32_t node,
                               bool active) {
   if (!cfg_.fault_aware) return;
-  out_ += "{\"kind\":\"fault\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(t);
-  out_ += ",\"fault\":\"";
-  append_escaped(out_, kind);
-  out_ += "\",\"node\":";
-  out_ += std::to_string(node);
-  out_ += ",\"active\":";
-  out_ += active ? "true" : "false";
-  out_ += "}\n";
+  JsonlLine(out_)
+      .raw("{\"kind\":\"fault\",\"t_us\":").ts(t)
+      .raw(",\"fault\":\"").escaped(kind)
+      .raw("\",\"node\":").num(node)
+      .raw(",\"active\":").boolean(active)
+      .raw("}\n");
   if (!active) last_fault_clear_ = t;
 }
 
@@ -105,52 +72,44 @@ void HealthEngine::add_gauge(std::string name, std::function<double()> probe,
   gauges_.push_back({std::move(name), std::move(probe), ceiling});
 }
 
+void HealthEngine::append_outage(const OutageRecord& rec) {
+  JsonlLine(out_)
+      .raw("{\"kind\":\"outage\",\"client\":").num(rec.client)
+      .raw(",\"begin_us\":").ts(rec.begin)
+      .raw(",\"end_us\":").ts(rec.end)
+      .raw(rec.open ? ",\"open\":true}\n" : ",\"open\":false}\n");
+  outages_.push_back(rec);
+}
+
 void HealthEngine::append_window_line(const HealthWindow& w) {
-  out_ += "{\"kind\":\"window\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(w.t);
-  out_ += ",\"sent\":";
-  out_ += std::to_string(w.sent);
-  out_ += ",\"copies\":";
-  out_ += std::to_string(w.copies);
-  out_ += ",\"delivered\":";
-  out_ += std::to_string(w.delivered);
-  out_ += ",\"retired\":";
-  out_ += std::to_string(w.retired);
-  out_ += ",\"dropped\":";
-  out_ += std::to_string(w.dropped);
-  out_ += ",\"in_flight\":";
-  out_ += std::to_string(w.in_flight);
-  out_ += ",\"gauges\":{";
+  JsonlLine line(out_);
+  line.raw("{\"kind\":\"window\",\"t_us\":").ts(w.t)
+      .raw(",\"sent\":").num(w.sent)
+      .raw(",\"copies\":").num(w.copies)
+      .raw(",\"delivered\":").num(w.delivered)
+      .raw(",\"retired\":").num(w.retired)
+      .raw(",\"dropped\":").num(w.dropped)
+      .raw(",\"in_flight\":").num(w.in_flight)
+      .raw(",\"gauges\":{");
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    if (i > 0) out_ += ",";
-    out_ += "\"";
-    append_escaped(out_, gauges_[i].name);
-    out_ += "\":";
-    out_ += format_fixed3(w.gauges[i]);
+    line.raw(i > 0 ? ",\"" : "\"").escaped(gauges_[i].name).raw("\":")
+        .fixed3(w.gauges[i]);
   }
-  out_ += "}";
-  if (w.rss_kb >= 0) {
-    out_ += ",\"rss_kb\":";
-    out_ += std::to_string(w.rss_kb);
-  }
-  out_ += "}\n";
+  line.raw("}");
+  if (w.rss_kb >= 0) line.raw(",\"rss_kb\":").num(w.rss_kb);
+  line.raw("}\n");
 }
 
 void HealthEngine::violate(std::string watchdog, std::string severity, Time t,
                            double value, double limit, std::string detail) {
-  out_ += "{\"kind\":\"violation\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(t);
-  out_ += ",\"watchdog\":\"";
-  append_escaped(out_, watchdog);
-  out_ += "\",\"severity\":\"";
-  append_escaped(out_, severity);
-  out_ += "\",\"value\":";
-  out_ += format_fixed3(value);
-  out_ += ",\"limit\":";
-  out_ += format_fixed3(limit);
-  out_ += ",\"detail\":\"";
-  append_escaped(out_, detail);
-  out_ += "\"}\n";
+  JsonlLine(out_)
+      .raw("{\"kind\":\"violation\",\"t_us\":").ts(t)
+      .raw(",\"watchdog\":\"").escaped(watchdog)
+      .raw("\",\"severity\":\"").escaped(severity)
+      .raw("\",\"value\":").fixed3(value)
+      .raw(",\"limit\":").fixed3(limit)
+      .raw(",\"detail\":\"").escaped(detail)
+      .raw("\"}\n");
   violations_.push_back({std::move(watchdog), std::move(severity), t, value,
                          limit, std::move(detail)});
 }
@@ -247,45 +206,26 @@ void HealthEngine::finalize(Time t) {
   // Flush still-open outages: a client stranded at teardown is exactly what
   // the convergence gate must see, so each one becomes an open=true record.
   for (const auto& [client, begin] : open_outages_) {
-    OutageRecord rec{client, begin, t, true};
-    out_ += "{\"kind\":\"outage\",\"client\":";
-    out_ += std::to_string(rec.client);
-    out_ += ",\"begin_us\":";
-    out_ += trace::Tracer::format_ts(rec.begin);
-    out_ += ",\"end_us\":";
-    out_ += trace::Tracer::format_ts(rec.end);
-    out_ += ",\"open\":true}\n";
-    outages_.push_back(rec);
+    append_outage({client, begin, t, true});
   }
   const std::size_t unconverged = open_outages_.size();
   open_outages_.clear();
-  out_ += "{\"kind\":\"summary\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(t);
-  out_ += ",\"windows\":";
-  out_ += std::to_string(windows_closed_);
-  out_ += ",\"checks\":";
-  out_ += std::to_string(checks_);
-  out_ += ",\"violations\":";
-  out_ += std::to_string(violations_.size());
-  out_ += ",\"sent\":";
-  out_ += std::to_string(sent_);
-  out_ += ",\"copies\":";
-  out_ += std::to_string(copies_);
-  out_ += ",\"delivered\":";
-  out_ += std::to_string(delivered_);
-  out_ += ",\"retired\":";
-  out_ += std::to_string(retired_);
-  out_ += ",\"dropped\":";
-  out_ += std::to_string(dropped_);
-  out_ += ",\"in_flight\":";
-  out_ += std::to_string(in_flight());
+  JsonlLine line(out_);
+  line.raw("{\"kind\":\"summary\",\"t_us\":").ts(t)
+      .raw(",\"windows\":").num(windows_closed_)
+      .raw(",\"checks\":").num(checks_)
+      .raw(",\"violations\":").num(violations_.size())
+      .raw(",\"sent\":").num(sent_)
+      .raw(",\"copies\":").num(copies_)
+      .raw(",\"delivered\":").num(delivered_)
+      .raw(",\"retired\":").num(retired_)
+      .raw(",\"dropped\":").num(dropped_)
+      .raw(",\"in_flight\":").num(in_flight());
   if (cfg_.fault_aware) {
-    out_ += ",\"outages\":";
-    out_ += std::to_string(outages_.size());
-    out_ += ",\"unconverged\":";
-    out_ += std::to_string(unconverged);
+    line.raw(",\"outages\":").num(outages_.size())
+        .raw(",\"unconverged\":").num(unconverged);
   }
-  out_ += "}\n";
+  line.raw("}\n");
 }
 
 std::vector<HealthWindow> HealthEngine::windows() const {

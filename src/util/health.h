@@ -12,10 +12,11 @@
 // — and records each violation as a structured record with a severity.
 //
 // The per-window rollups stream into a `health.jsonl` document (one JSON
-// object per line, hand-serialized with fixed field order and pure-integer
-// number formatting, so a fixed-seed run emits byte-identical output on any
-// platform).  The only optional nondeterministic field is the host RSS
-// sample, off by default and enabled for soak drift analysis.
+// object per line, formatted by the shared JsonlLine with fixed field order
+// and pure-integer number formatting, so a fixed-seed run emits
+// byte-identical output on any platform).  The only optional
+// nondeterministic field is the host RSS sample, off by default and enabled
+// for soak drift analysis.
 //
 // A HealthEngine is owned by one Testbed and installed in its sim::Context
 // like the other per-run services; components cache the context's engine
@@ -48,6 +49,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/metrics.h"
@@ -187,6 +189,9 @@ class HealthEngine {
   Time last_fault_clear() const { return last_fault_clear_; }
   /// The accumulated JSONL document, starting with the schema header line.
   const std::string& jsonl() const { return out_; }
+  /// Moves the document out (Testbed::finish() has written its file by
+  /// then); nothing may be appended afterwards.
+  std::string take_jsonl() { return std::move(out_); }
   const HealthConfig& config() const { return cfg_; }
 
  private:
@@ -200,6 +205,8 @@ class HealthEngine {
   void violate(std::string watchdog, std::string severity, Time t,
                double value, double limit, std::string detail);
   void append_window_line(const HealthWindow& w);
+  /// Serializes `rec` as an {"kind":"outage"} line and keeps it.
+  void append_outage(const OutageRecord& rec);
 
   HealthConfig cfg_;
   std::uint64_t sent_ = 0;

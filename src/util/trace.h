@@ -63,7 +63,8 @@ class Tracer {
   const std::string& finish();
 
   /// Format a sim time as a Chrome-trace "ts" value: microseconds with three
-  /// decimals, derived purely from integer arithmetic.
+  /// decimals, derived purely from integer arithmetic (write_ts in
+  /// util/jsonl.h, which the JSONL streams share).
   static std::string format_ts(Time t);
 
  private:

@@ -18,6 +18,7 @@
 #include "scenario/experiment.h"
 #include "scenario/report.h"
 #include "scenario/sweep.h"
+#include "sim/fault_plan.h"
 #include "util/json.h"
 #include "util/profiler.h"
 #include "util/sha256.h"
@@ -312,6 +313,99 @@ TEST(ProfilerTest, RunProfileIsNonEmptyAndBoundedByWallTime) {
   const JsonValue* profile = run->find("profile");
   ASSERT_TRUE(profile != nullptr);
   EXPECT_TRUE(profile->find("sections") != nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// JSONL streams: the same SHA-256 lockdown as the trace
+// ---------------------------------------------------------------------------
+
+/// SHA-256 of each JSONL stream of one streams_config() drive.
+struct StreamPins {
+  const char* decisions;
+  const char* packets;
+  const char* causal;
+  const char* health;
+};
+
+// Pinned from runs of this test.  Any drift in record content, ordering or
+// number formatting for a fixed seed is a determinism regression.
+constexpr StreamPins kGoldenStreamSha256 = {
+    "737fa633fa5619fbc8b1187f143aa0c8c61333f722db34539c7c9510261ab3a6",
+    "c7859064a950b18cd3d696fcae3e4544a7a55c289ef5b089fa596c8dd289de5f",
+    "0063d4a37608aa19fceb6443adc8c4fe8e16127614c164774180eb659a68774d",
+    "3834e3f15a31de0ba0deb54ef24e3ac28d5c9503bfe111c5bdd58defdacc3bb6",
+};
+// The same drive under a seeded chaos plan: adds the liveness, fault and
+// outage record kinds and the version-2 schema headers.
+constexpr StreamPins kGoldenChaosStreamSha256 = {
+    "f6d3c45302dc0ec2b176558ad23aba3f12fd7d42b394947f7a8b28f8033fd5a7",
+    "7a1ea17686f8f2692eaf65b5fcb542fe44e50d608e49404539cdb34a7b735b4a",
+    "01c84319aeab166853fa5f9fbb1100c58442232fa23f1494e96cf3e689bef61b",
+    "74039904ecf2194bb17a1f57424835ae8a2a8847896d4f6b7ff1ee5fa0db196d",
+};
+
+/// The golden drive with every JSONL stream on, optionally under chaos.
+scenario::DriveScenarioConfig streams_config(bool chaos) {
+  scenario::DriveScenarioConfig cfg = golden_config({});
+  cfg.testbed.enable_decision_log = true;
+  cfg.testbed.enable_packet_log = true;
+  cfg.testbed.enable_causal = true;
+  cfg.testbed.enable_health = true;
+  if (chaos) {
+    cfg.testbed.faults = sim::FaultPlan::chaos(
+        /*intensity=*/1.0, cfg.duration,
+        static_cast<std::uint32_t>(cfg.testbed.ap_x.size()), cfg.seed);
+  }
+  return cfg;
+}
+
+void expect_pinned(const scenario::DriveResult& r, const StreamPins& pins) {
+  EXPECT_EQ(sha256_hex(r.decision_jsonl), pins.decisions)
+      << "decision stream drifted for a fixed seed";
+  EXPECT_EQ(sha256_hex(r.packet_jsonl), pins.packets)
+      << "packet stream drifted for a fixed seed";
+  EXPECT_EQ(sha256_hex(r.causal_jsonl), pins.causal)
+      << "causal stream drifted for a fixed seed";
+  EXPECT_EQ(sha256_hex(r.health_jsonl), pins.health)
+      << "health stream drifted for a fixed seed";
+}
+
+TEST(GoldenStreamsTest, FixedSeedStreamsMatchPinnedHashes) {
+  const scenario::DriveResult r = scenario::run_drive(streams_config(false));
+  ASSERT_GT(r.decision_records, 0u);
+  ASSERT_GT(r.packet_records, 0u);
+  ASSERT_GT(r.causal_records, 0u);
+  ASSERT_GT(r.health_windows, 0u);
+  expect_pinned(r, kGoldenStreamSha256);
+}
+
+TEST(GoldenStreamsTest, ChaosStreamsMatchPinnedHashes) {
+  const scenario::DriveResult r = scenario::run_drive(streams_config(true));
+  EXPECT_NE(r.decision_jsonl.find("\"kind\":\"liveness\""), std::string::npos);
+  EXPECT_NE(r.health_jsonl.find("\"kind\":\"fault\""), std::string::npos);
+  EXPECT_NE(r.health_jsonl.find("\"kind\":\"outage\""), std::string::npos);
+  expect_pinned(r, kGoldenChaosStreamSha256);
+}
+
+TEST(GoldenStreamsTest, WrittenFilesEqualTheResultDocuments) {
+  // The files the Testbed writes and the documents handed back in the
+  // DriveResult are the same bytes.
+  scenario::DriveScenarioConfig cfg = streams_config(true);
+  cfg.testbed.decision_log_path = "golden_streams_decisions.jsonl";
+  cfg.testbed.packet_log_path = "golden_streams_packets.jsonl";
+  cfg.testbed.causal_path = "golden_streams_causal.jsonl";
+  cfg.testbed.health_path = "golden_streams_health.jsonl";
+  const scenario::DriveResult r = scenario::run_drive(cfg);
+  const auto take = [](const std::string& path) {
+    std::string text = read_file(path);
+    std::remove(path.c_str());
+    return text;
+  };
+  ASSERT_FALSE(r.decision_jsonl.empty());
+  EXPECT_EQ(take(cfg.testbed.decision_log_path), r.decision_jsonl);
+  EXPECT_EQ(take(cfg.testbed.packet_log_path), r.packet_jsonl);
+  EXPECT_EQ(take(cfg.testbed.causal_path), r.causal_jsonl);
+  EXPECT_EQ(take(cfg.testbed.health_path), r.health_jsonl);
 }
 
 TEST(GoldenTraceTest, MetricsSnapshotIdenticalAcrossRunsAndJson) {
